@@ -2,8 +2,9 @@
 Realizability of the Fano plane depends on the characteristic
 =============================================================
 
-Exhaustive backtracking over the 7 points and 7 lines.  The F_3 side
-has to exhaust its whole search tree, which takes around half a minute.
+Exhaustive forward-checking search over the 7 points and 7 lines.  The
+F_3 side has to exhaust its whole search tree, which takes a fraction of
+a second.
 """
 
 from toricbundles.incidence import configuration_to_json, enumerate_c_i

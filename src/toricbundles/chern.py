@@ -115,16 +115,22 @@ def chars_for_flag(datum, pair, chain):
         raise ValueError("flag characters only exist for rule-based data")
     n = datum.n
     (a, b), chain = validate_flag(n, pair, chain)
-    rays = [ray_vector(n, lab) for lab in (a, b, *chain)]
-    rows = [list(r) for r in rays]
-    chars = []
-    for p, q in value_pair_table(datum.incidence, a, b):
-        target = [p, q] + [0] * len(chain)
-        solved = solve_integer_linear(rows, target)
+    rows = [list(ray_vector(n, lab)) for lab in (a, b, *chain)]
+    # the dual vectors u_a, u_b take value 1 on one of rho_a, rho_b and 0
+    # on every other flag ray; the pair (p, q) gives p * u_a + q * u_b
+    duals = []
+    for target in ([1, 0], [0, 1]):
+        solved = solve_integer_linear(rows, target + [0] * len(chain))
         if not solved:
             raise NonSmoothCone(f"flag rays of {(a, b)} are not a basis")
-        chars.append(tuple(solved))
-    return tuple(sorted(chars))
+        duals.append(solved)
+    u_a, u_b = duals
+    return tuple(
+        sorted(
+            tuple(p * x + q * y for x, y in zip(u_a, u_b))
+            for p, q in value_pair_table(datum.incidence, a, b)
+        )
+    )
 
 
 def chars_on_cone(datum, fan_or_handle, cone):

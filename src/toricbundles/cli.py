@@ -42,6 +42,7 @@ from .incidence import (
     check_configuration,
     configuration_from_json,
     configuration_to_json,
+    count_c_i,
     enumerate_c_i,
     verify_equivalence,
 )
@@ -306,18 +307,17 @@ def cmd_bundle_signature(args):
 
 def cmd_incidence_enumerate(args):
     incidence = incidence_from_json(_load_json(args.incidence))
-    configs = enumerate_c_i(
-        incidence,
-        args.field,
-        mode=args.mode,
-        budget=args.budget,
-        workers=args.workers,
-    )
-    data = {"count": len(configs)}
-    if not args.count_only:
-        data["configurations"] = [configuration_to_json(c) for c in configs]
+    options = dict(mode=args.mode, budget=args.budget, workers=args.workers)
+    if args.count_only:
+        data = {"count": count_c_i(incidence, args.field, **options)}
+    else:
+        configs = enumerate_c_i(incidence, args.field, **options)
+        data = {
+            "count": len(configs),
+            "configurations": [configuration_to_json(c) for c in configs],
+        }
     _emit(data)
-    _say(f"{len(configs)} configurations over F_{args.field}")
+    _say(f"{data['count']} configurations over F_{args.field}")
     return 0
 
 

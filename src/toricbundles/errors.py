@@ -53,6 +53,10 @@ class InternalAudit(ToricError):
     """A structural assumption of the construction failed."""
 
 
+class FourierMotzkinBlowup(ToricError, RuntimeError):
+    """Fourier-Motzkin elimination produced more rows than its limit."""
+
+
 class BudgetExceeded(ToricError):
     """Enumeration exceeded its node budget.
 
@@ -63,3 +67,7 @@ class BudgetExceeded(ToricError):
         super().__init__(message)
         self.partial_count = partial_count
         self.nodes = nodes
+
+    def __reduce__(self):
+        # keep the counts when a worker process sends the error back
+        return type(self), (self.args[0], self.partial_count, self.nodes)

@@ -9,6 +9,7 @@ row tuples), which is canonical, so subspace equality is tuple equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ToricError
 
@@ -133,8 +134,13 @@ def field_from_tag(tag):
     if tag == "Q":
         return QQ
     if isinstance(tag, str) and tag.startswith("Fp:"):
-        return PrimeField(int(tag[3:]))
+        return _prime_field(int(tag[3:]))
     raise ToricError(f"unknown field tag {tag!r}")
+
+
+@lru_cache(maxsize=64)
+def _prime_field(p):
+    return PrimeField(p)
 
 
 def rref(rows, field):

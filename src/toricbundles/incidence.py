@@ -3,10 +3,14 @@
 Configurations are stored projectively normalized (first nonzero
 coordinate 1), which turns proportionality into plain equality and
 makes solution sets comparable as sorted lists.  Enumeration over a
-prime field runs either as a full product scan or as a backtracking
-search ordered most-constrained-first; both consume the same compiled
-binary constraints, which come from two independent sources: directly
-from incidence data, or from a compiled ConditionSet.
+prime field runs as forward checking over bitset domains: each object's
+domain is an int bitmask over the p^2 + p + 1 points, an assignment
+narrows its neighbours' domains in one step, an emptied domain prunes
+the branch, and the object with the fewest values left goes next.
+Mode `auto` always picks this engine; `brute` is a full product scan
+kept as a reference.  Both consume the same binary constraints, which
+come from two independent sources: directly from incidence data, or
+from a compiled ConditionSet.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
@@ -137,177 +142,227 @@ def _constraints_from_atoms(conds):
     return cons
 
 
-def _zero_dot_table(universe, p):
-    n = len(universe)
-    table = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            value = sum(x * y for x, y in zip(universe[a], universe[b])) % p == 0
-            table[a][b] = value
-            table[b][a] = value
-    return table
+@lru_cache(maxsize=4)
+def _plane(p):
+    """The sorted points of PG(2, p) and their incidence bitmasks.
+
+    Bit w of on[v] is set when universe[v] . universe[w] = 0 mod p.
+    Points and lines share coordinates, so on[v] is also the set of
+    points on the line universe[v]; it is built from two spanning
+    vectors of that line in O(p) steps rather than by N dot products.
+    """
+    universe = projective_points(p)
+    index = {v: k for k, v in enumerate(universe)}
+    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+
+    def position(v):
+        scale = inverse[next(x for x in v if x)]
+        return index[tuple(x * scale % p for x in v)]
+
+    on = []
+    for line in universe:
+        # line[k] = 1 is the leading entry; the line is spanned by
+        # e_i - line[i] e_k for the two other coordinates i
+        k = line.index(1)
+        i, j = (t for t in range(3) if t != k)
+        u, w = [0, 0, 0], [0, 0, 0]
+        u[i], u[k] = 1, -line[i] % p
+        w[j], w[k] = 1, -line[j] % p
+        mask = 1 << position(u)
+        for s in range(p):
+            mask |= 1 << position([(b + s * a) % p for a, b in zip(u, w)])
+        on.append(mask)
+    return tuple(universe), tuple(on)
 
 
-def _search_order(n_objects, constraints):
-    """Static most-constrained-first order over the object indices."""
-    degree = [0] * n_objects
-    neighbors = [set() for _ in range(n_objects)]
-    for a, b, _ in constraints:
-        degree[a] += 1
-        degree[b] += 1
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    order = []
-    remaining = set(range(n_objects))
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda o: (len(neighbors[o] & set(order)), degree[o], -o),
-        )
-        order.append(best)
-        remaining.remove(best)
-    return order
+def _forward_check(n_objects, constraints, on, size, budget, listing, first=None):
+    """Forward checking over bitset domains, fewest remaining values first.
 
+    A domain is an int whose bit v stands for universe[v].  Giving an
+    object a value narrows the domain of every free neighbour in one
+    step: `& on[v]` (ZERO_DOT), `& ~on[v]` (NONZERO_DOT) or by clearing
+    bit v (DISTINCT), and a branch that empties a domain is pruned.  The
+    next object is the free one with the fewest values left, ties going
+    to the lower index.  A node is one value tried for one object.
 
-def _satisfied(kind, va, vb, zero_dot):
-    if kind == DISTINCT:
-        return va != vb
-    if kind == ZERO_DOT:
-        return zero_dot[va][vb]
-    return not zero_dot[va][vb]
-
-
-def _backtrack(n_objects, constraints, universe, p, budget, prefix=None):
-    zero_dot = _zero_dot_table(universe, p)
-    order = _search_order(n_objects, constraints)
-    position = {obj: t for t, obj in enumerate(order)}
-    # each constraint is checked when its later object gets a value
-    checks = [[] for _ in range(n_objects)]
+    Returns (solutions, count, nodes); solutions are assignment tuples,
+    collected only when `listing`.  `first` fixes object 0 to one value.
+    """
+    neighbors = [[] for _ in range(n_objects)]
     for a, b, kind in constraints:
-        pa, pb = position[a], position[b]
-        if pa > pb:
-            checks[pa].append((b, kind))
-        else:
-            checks[pb].append((a, kind))
-    values = list(range(len(universe)))
-    assignment = {}
-    solutions = []
-    nodes = 0
-    start = 0
-    if prefix is not None:
-        assignment[order[0]] = prefix
-        start = 1
+        neighbors[a].append((b, kind))
+        neighbors[b].append((a, kind))
+    domains = [(1 << size) - 1] * n_objects
+    if first is not None:
+        domains[0] = 1 << first
+    assignment = [None] * n_objects
+    found = []
+    count = nodes = 0
 
-    def recurse(depth):
-        nonlocal nodes
-        if depth == n_objects:
-            solutions.append(dict(assignment))
+    def exhausted():
+        return BudgetExceeded(
+            f"node budget {budget} exhausted", partial_count=count, nodes=nodes
+        )
+
+    def descend(domains, free):
+        nonlocal count, nodes
+        obj = min(free, key=lambda o: (domains[o].bit_count(), o))
+        dom = domains[obj]
+        if len(free) == 1:
+            # every value left completes a solution: settle them at once
+            k = dom.bit_count()
+            if budget is not None and nodes + k > budget:
+                count += budget - nodes
+                nodes = budget + 1
+                raise exhausted()
+            nodes += k
+            count += k
+            while listing and dom:
+                low = dom & -dom
+                dom ^= low
+                assignment[obj] = low.bit_length() - 1
+                found.append(tuple(assignment))
+            assignment[obj] = None
             return
-        obj = order[depth]
-        for v in values:
+        free = [o for o in free if o != obj]
+        checks = [(o, kind) for o, kind in neighbors[obj] if assignment[o] is None]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            v = low.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceeded(
-                    f"node budget {budget} exhausted",
-                    partial_count=len(solutions),
-                    nodes=nodes,
-                )
-            ok = True
-            for other, kind in checks[depth]:
-                if not _satisfied(kind, v, assignment[other], zero_dot):
-                    ok = False
+                raise exhausted()
+            narrowed = domains[:]
+            for o, kind in checks:
+                if kind == ZERO_DOT:
+                    left = narrowed[o] & on[v]
+                elif kind == NONZERO_DOT:
+                    left = narrowed[o] & ~on[v]
+                else:
+                    left = narrowed[o] & ~low
+                if not left:
                     break
-            if ok:
+                narrowed[o] = left
+            else:
                 assignment[obj] = v
-                recurse(depth + 1)
-                del assignment[obj]
+                descend(narrowed, free)
+        assignment[obj] = None
 
-    recurse(start)
-    return solutions, nodes
+    if n_objects == 0:
+        return [()], 1, 0
+    descend(domains, list(range(n_objects)))
+    return found, count, nodes
 
 
-def _brute(n_objects, constraints, universe, p, budget):
-    zero_dot = _zero_dot_table(universe, p)
-    solutions = []
+def _brute(n_objects, constraints, on, size, budget):
+    """Every assignment in lexicographic order, each checked in full."""
+    found = []
     nodes = 0
-    for combo in product(range(len(universe)), repeat=n_objects):
+    for combo in product(range(size), repeat=n_objects):
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(
                 f"node budget {budget} exhausted",
-                partial_count=len(solutions),
+                partial_count=len(found),
                 nodes=nodes,
             )
-        if all(
-            _satisfied(kind, combo[a], combo[b], zero_dot)
-            for a, b, kind in constraints
-        ):
-            solutions.append({i: v for i, v in enumerate(combo)})
-    return solutions, nodes
+        for a, b, kind in constraints:
+            va, vb = combo[a], combo[b]
+            if kind == DISTINCT:
+                ok = va != vb
+            else:
+                ok = (on[va] >> vb & 1) == (kind == ZERO_DOT)
+            if not ok:
+                break
+        else:
+            found.append(combo)
+    return found
 
 
 def _branch_task(args):
-    n_objects, constraints, p, budget, prefix = args
-    universe = projective_points(p)
-    solutions, nodes = _backtrack(
-        n_objects, constraints, universe, p, budget, prefix=prefix
+    n_objects, constraints, p, budget, listing, first = args
+    universe, on = _plane(p)
+    return _forward_check(
+        n_objects, constraints, on, len(universe), budget, listing, first=first
     )
-    return solutions, nodes
 
 
-def _run_engine(d, dprime, constraints, p, mode, budget, workers):
-    n_objects = d + dprime
-    universe = projective_points(p)
-    if mode == "auto":
-        mode = "brute" if len(universe) ** n_objects <= 200_000 else "backtrack"
+def _run_engine(n_objects, constraints, p, mode, budget, workers, listing):
+    """(assignment tuples if `listing`, solution count) over F_p.
+
+    `brute` scans every assignment; any other mode runs forward
+    checking, split over `workers` processes by the value of object 0.
+    """
+    universe, on = _plane(p)
     if mode == "brute":
-        raw, _ = _brute(n_objects, constraints, universe, p, budget)
-    elif workers and workers > 1 and n_objects >= 1:
-        tasks = [
-            (n_objects, constraints, p, budget, v)
-            for v in range(len(universe))
-        ]
-        raw = []
-        total_nodes = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for solutions, nodes in pool.map(_branch_task, tasks):
-                raw.extend(solutions)
-                total_nodes += nodes
-        if budget is not None and total_nodes > budget:
-            raise BudgetExceeded(
-                f"node budget {budget} exhausted across workers",
-                partial_count=len(raw),
-                nodes=total_nodes,
-            )
-    else:
-        raw, _ = _backtrack(n_objects, constraints, universe, p, budget)
-    tag = f"Fp:{p}"
-    configs = [
-        Configuration(
-            field=tag,
-            points=tuple(universe[assignment[i]] for i in range(d)),
-            lines=tuple(universe[assignment[d + j]] for j in range(dprime)),
+        found = _brute(n_objects, constraints, on, len(universe), budget)
+        return found, len(found)
+    if not (workers and workers > 1 and n_objects >= 1):
+        found, count, _ = _forward_check(
+            n_objects, constraints, on, len(universe), budget, listing
         )
-        for assignment in raw
+        return found, count
+    tasks = [
+        (n_objects, constraints, p, budget, listing, v)
+        for v in range(len(universe))
     ]
-    configs.sort(key=lambda c: (c.points, c.lines))
-    return configs
+    found, count, total_nodes = [], 0, 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part, k, nodes in pool.map(_branch_task, tasks):
+            found.extend(part)
+            count += k
+            total_nodes += nodes
+    if budget is not None and total_nodes > budget:
+        raise BudgetExceeded(
+            f"node budget {budget} exhausted across workers",
+            partial_count=count,
+            nodes=total_nodes,
+        )
+    return found, count
+
+
+def _configurations(d, found, p):
+    """Sorted Configurations from assignment tuples (points, then lines)."""
+    point = _plane(p)[0].__getitem__
+    tag = f"Fp:{p}"
+    # universe is sorted, so index order is the (points, lines) order
+    return [
+        Configuration(
+            tag, tuple(map(point, values[:d])), tuple(map(point, values[d:]))
+        )
+        for values in sorted(found)
+    ]
 
 
 def enumerate_c_i(incidence, p, mode="auto", budget=None, workers=None):
     """All F_p configurations realizing the incidence data exactly."""
-    constraints = _constraints_from_incidence(incidence)
-    return _run_engine(
-        incidence.points, incidence.lines, constraints, p, mode, budget, workers
+    found, _ = _run_engine(
+        incidence.total,
+        _constraints_from_incidence(incidence),
+        p, mode, budget, workers, listing=True,
     )
+    return _configurations(incidence.points, found, p)
+
+
+def count_c_i(incidence, p, mode="auto", budget=None, workers=None):
+    """The number of configurations enumerate_c_i would return."""
+    _, count = _run_engine(
+        incidence.total,
+        _constraints_from_incidence(incidence),
+        p, mode, budget, workers, listing=False,
+    )
+    return count
 
 
 def solutions(conds, p, mode="auto", budget=None, workers=None):
     """All F_p configurations satisfying every atom of a ConditionSet."""
-    constraints = _constraints_from_atoms(conds)
-    return _run_engine(
-        conds.points, conds.lines, constraints, p, mode, budget, workers
+    found, _ = _run_engine(
+        conds.points + conds.lines,
+        _constraints_from_atoms(conds),
+        p, mode, budget, workers, listing=True,
     )
+    return _configurations(conds.points, found, p)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import FourierMotzkinBlowup
+
 
 def vec_gcd(v) -> int:
     g = 0
@@ -213,6 +215,8 @@ def smith_decomposition(a):
                     if x != 0 and (best is None or abs(x) < best):
                         best = abs(x)
                         piv = (i, j)
+                if best == 1:
+                    break
             if piv is None:
                 break
             if piv != (t, t):
@@ -244,6 +248,8 @@ def smith_decomposition(a):
             if restart:
                 continue
             pivot = d[t][t]
+            if pivot == 1:
+                break
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -294,21 +300,24 @@ def solve_integer_linear(a, b):
     n = len(a[0]) if m else 0
     u, d, v = smith_decomposition(a)
     c = mat_vec(u, list(b))
-    y = [Fraction(0)] * n
+    y = [0] * n
     integral = True
     for i in range(m):
         di = d[i][i] if i < min(m, n) else 0
         if di == 0:
             if c[i] != 0:
                 return NoIntegralSolution(kind="no_rational")
+        elif c[i] % di == 0:
+            y[i] = c[i] // di
         else:
             y[i] = Fraction(c[i], di)
-            if y[i].denominator != 1:
-                integral = False
+            integral = False
     x = mat_vec(v, y)
     if not integral:
-        return NoIntegralSolution(kind="not_integral", rational=tuple(x))
-    return [int(t) for t in x]
+        return NoIntegralSolution(
+            kind="not_integral", rational=tuple(Fraction(t) for t in x)
+        )
+    return x
 
 
 def _normalize_ineq(coeffs, rhs):
@@ -398,6 +407,8 @@ def fm_feasible(eqs, ineqs, nvars, max_rows=200_000):
                 g = vec_gcd(comb)
                 rows.add(tuple(x // g for x in comb))
         if len(rows) > max_rows:
-            raise RuntimeError("Fourier-Motzkin row blowup")
+            raise FourierMotzkinBlowup(
+                f"Fourier-Motzkin row blowup: {len(rows)} rows > {max_rows}"
+            )
     # Every surviving row is constant by now: 0 >= rhs must hold.
     return all(r[-1] <= 0 for r in rows)

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .errors import NonSmoothCone, RayNotInFan
+from .errors import InternalAudit, NonSmoothCone, RayNotInFan
 from .fields import field_from_tag, rref, span_contains, subspace_intersect
 from .intlin import solve_integer_linear
 from .murphy import all_labels, normalize_label, ray_vector
@@ -251,7 +251,10 @@ def _check_cone(filt, fan, cone):
         if mult > 0:
             candidates.append((cell, mult))
     total = sum(m for _, m in candidates)
-    assert total == filt.rank, "differencing must conserve the rank"
+    if total != filt.rank:
+        raise InternalAudit(
+            f"differencing must conserve the rank: {total} != {filt.rank}"
+        )
 
     rows = [list(r) for r in cone_rays]
     chars = {}

@@ -158,27 +158,16 @@ def _atom_for_pair(incidence, a, b, count):
     return Atom(kind="DISTINCT_LINES", i=min(i, j), j=max(i, j))
 
 
-def _pair_count(datum, n, a, b, chain=None):
-    chars = chars_for_flag(datum, (a, b), chain or _canonical_chain(n, a, b))
+def _jump_counts(chars, n, a, b):
+    """Characters with value >= 1 on rho_a, on rho_b, and on both."""
     ra, rb = ray_vector(n, a), ray_vector(n, b)
-    count = 0
-    for u in chars:
-        va = sum(c * x for c, x in zip(u, ra))
-        vb = sum(c * x for c, x in zip(u, rb))
-        if va >= 1 and vb >= 1:
-            count += 1
-    return count
-
-
-def _single_counts(datum, n, a, b):
-    chars = chars_for_flag(datum, (a, b), _canonical_chain(n, a, b))
-    out = {}
-    for label in (a, b):
-        ray = ray_vector(n, label)
-        out[label] = sum(
-            1 for u in chars if sum(c * x for c, x in zip(u, ray)) >= 1
-        )
-    return out
+    va = [sum(c * x for c, x in zip(u, ra)) for u in chars]
+    vb = [sum(c * x for c, x in zip(u, rb)) for u in chars]
+    return (
+        sum(1 for x in va if x >= 1),
+        sum(1 for y in vb if y >= 1),
+        sum(1 for x, y in zip(va, vb) if x >= 1 and y >= 1),
+    )
 
 
 def generate_conditions(m):
@@ -197,17 +186,17 @@ def generate_conditions(m):
         )
     atoms = []
     for a, b in combinations(range(1, total + 1), 2):
+        chars = chars_for_flag(m.datum, (a, b), _canonical_chain(n, a, b))
+        on_a, on_b, on_both = _jump_counts(chars, n, a, b)
         # the jump-1 cell on one ray alone must reproduce the forced
         # filtration dimension; anything else voids the compilation
-        for label, count in _single_counts(m.datum, n, a, b).items():
+        for label, count in ((a, on_a), (b, on_b)):
             want = 1 if incidence.object_type(label) == "point" else 2
             if count != want:
                 raise InternalAudit(
                     f"ray {label} forces dimension {count}, expected {want}"
                 )
-        atoms.append(
-            _atom_for_pair(incidence, a, b, _pair_count(m.datum, n, a, b))
-        )
+        atoms.append(_atom_for_pair(incidence, a, b, on_both))
     return make_condition_set(incidence.points, incidence.lines, atoms)
 
 

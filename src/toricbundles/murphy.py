@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import InvalidFlag, InvalidLabel, MaterializationTooLarge
+from .errors import (
+    InternalAudit,
+    InvalidFlag,
+    InvalidLabel,
+    MaterializationTooLarge,
+)
 from .fans import Fan, fan_to_json, make_fan, projective_fan, star_subdivide
 
 MATERIALIZE_LIMIT = 6
@@ -189,7 +194,8 @@ def build_murphy_fan(n, materialize=None):
             indices = tuple(fan.ray_index(v) for v in vectors)
             fan = star_subdivide(fan, indices)
     label_by_vector = {ray_vector(n, lab): lab for lab in all_labels(n)}
-    assert set(label_by_vector) == set(fan.rays)
+    if set(label_by_vector) != set(fan.rays):
+        raise InternalAudit("blow-up rays differ from the labeled ray set")
     return MurphyFanHandle(
         n=n, materialized=True, fan=fan, label_by_vector=label_by_vector
     )

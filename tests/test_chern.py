@@ -18,12 +18,14 @@ from toricbundles.chern import (
     validate_chern,
     value_pair_table,
     _neighbor_flag,
+    _random_flag,
 )
 from toricbundles.errors import DimensionMismatch, InternalAudit, RayNotInFan
 from toricbundles.fields import QQ
 from toricbundles.fans import projective_fan
 from toricbundles.klyachko import check_compatibility, murphy_filtration
 from toricbundles.murphy import (
+    MurphyFanHandle,
     build_murphy_fan,
     enumerate_flags,
     incidence_data,
@@ -273,3 +275,58 @@ def test_json_round_trips():
     explicit = trivial_chern(fan)
     loaded = chern_from_json(json.loads(dump_chern(explicit)))
     assert loaded == explicit
+
+
+def _random_datum(rng, n):
+    points = rng.randint(0, n + 1)
+    lines = n + 1 - points
+    pairs = [
+        (i, j)
+        for i in range(1, points + 1)
+        for j in range(1, lines + 1)
+        if rng.random() < 0.5
+    ]
+    data = incidence_data(points, lines, pairs)
+    return murphy_chern(data, MurphyFanHandle(n=n, materialized=False))
+
+
+def _closed_form_chars(datum, pair, chain):
+    """Flag characters by their values on rho_1..rho_{n+1}, no solving.
+
+    The (p, q) character is p on rho_a, q on rho_b, -(p + q) on the
+    third element s of S_3 and 0 elsewhere: that sums to 0 over every
+    chain set and over all n + 1 rays.  As rho_i = e_i for i <= n, the
+    first n values are the character's coordinates.
+    """
+    n = datum.n
+    a, b = pair
+    s3 = chain[0] if chain else frozenset(range(1, n + 2))
+    (s,) = s3 - {a, b}
+    chars = []
+    for p, q in value_pair_table(datum.incidence, a, b):
+        values = [0] * (n + 1)
+        values[a - 1], values[b - 1], values[s - 1] = p, q, -(p + q)
+        chars.append(tuple(values[:n]))
+    return tuple(sorted(chars))
+
+
+def test_flag_characters_match_closed_form_on_every_small_flag():
+    rng = random.Random(20261017)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            datum = _random_datum(rng, n)
+            for pair, chain in enumerate_flags(n):
+                assert chars_for_flag(datum, pair, chain) == _closed_form_chars(
+                    datum, pair, chain
+                )
+
+
+def test_flag_characters_match_closed_form_on_random_flags():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        n = rng.randint(5, 13)
+        datum = _random_datum(rng, n)
+        pair, chain = _random_flag(n, rng)
+        assert chars_for_flag(datum, pair, chain) == _closed_form_chars(
+            datum, pair, chain
+        )

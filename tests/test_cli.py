@@ -281,6 +281,39 @@ def test_worker_output_is_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_count_only_is_byte_identical(tmp_path, capsys):
+    pair = write(tmp_path, "pair.json", PAIR)
+    for workers in ("1", "2", "3"):
+        code, out, _ = run(capsys, [
+            "incidence", "enumerate", "--incidence", pair, "--field", "3",
+            "--count-only", "--workers", workers,
+        ])
+        assert code == 0
+        assert out == '{"count":468}\n'
+    code, out, _ = run(capsys, [
+        "incidence", "enumerate", "--incidence", pair, "--field", "3",
+        "--count-only", "--mode", "brute",
+    ])
+    assert out == '{"count":468}\n'
+
+
+def test_fourier_motzkin_blowup_exits_2(tmp_path, capsys, monkeypatch):
+    from functools import partial
+
+    from toricbundles import fans, intlin
+    from toricbundles.murphy import build_murphy_fan
+
+    fan = write(tmp_path, "fan.json",
+                fan_to_json(build_murphy_fan(3, materialize=True).fan))
+    monkeypatch.setattr(fans, "fm_feasible",
+                        partial(intlin.fm_feasible, max_rows=1))
+    code, out, err = run(capsys, ["fan", "validate", "--fan", fan])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Fourier-Motzkin row blowup")
+    assert err.count("\n") == 1
+
+
 def test_stdout_is_canonical_json(tmp_path, capsys):
     pair = write(tmp_path, "pair.json", PAIR)
     _, out, _ = run(capsys, ["murphy", "equations", "--incidence", pair])

@@ -209,6 +209,15 @@ def test_budget_exceeded_carries_progress():
         enumerate_c_i(inc, 3, mode="brute", budget=25)
 
 
+def test_worker_budget_error_keeps_its_counts():
+    # every worker branch fixes object 0 and then runs the serial search
+    # of the budget test above, so the first branch stops at node 26 too
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_c_i(incidence_data(3, 0, []), 3, budget=25, workers=2)
+    assert info.value.nodes == 26
+    assert info.value.partial_count == 22
+
+
 def test_worker_partition_matches_serial():
     inc = incidence_data(2, 1, [(1, 1)])
     serial = enumerate_c_i(inc, 2, mode="backtrack")

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from toricbundles.chern import chars_for_flag
 from toricbundles.errors import InternalAudit, InvalidConditionSet
 from toricbundles.fans import make_fan
 from toricbundles.moduli import (
@@ -15,7 +16,8 @@ from toricbundles.moduli import (
     generate_conditions,
     make_condition_set,
     make_murphy_instance,
-    _pair_count,
+    _canonical_chain,
+    _jump_counts,
 )
 from toricbundles.murphy import (
     MurphyFanHandle,
@@ -104,8 +106,11 @@ def test_atom_independent_of_containing_cone():
     n = handle.n
     for cone in handle.fan.max_cones:
         (a, b), chain = cone_flag(handle, cone)
-        canonical = _pair_count(instance.datum, n, a, b)
-        here = _pair_count(instance.datum, n, a, b, chain=chain)
+        canonical = _jump_counts(
+            chars_for_flag(instance.datum, (a, b), _canonical_chain(n, a, b)),
+            n, a, b,
+        )
+        here = _jump_counts(chars_for_flag(instance.datum, (a, b), chain), n, a, b)
         assert canonical == here
 
 

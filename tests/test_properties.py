@@ -7,7 +7,7 @@ are deterministic invariant checks rather than fuzzing.
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricbundles.fields import (
     QQ,
@@ -17,13 +17,15 @@ from toricbundles.fields import (
     subspace_intersect,
     subspace_sum,
 )
-from toricbundles.incidence import normalize_triple
+from toricbundles.incidence import count_c_i, enumerate_c_i, normalize_triple
 from toricbundles.intlin import (
     mat_vec,
     primitive,
     smith_normal_form,
     solve_integer_linear,
+    solve_rational,
 )
+from toricbundles.murphy import incidence_data
 
 FIXED = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -72,6 +74,25 @@ def test_integer_solve_is_exact(a, x):
 
 
 @FIXED
+@given(matrices(), st.lists(entries, min_size=4, max_size=4))
+def test_integer_solve_agrees_with_rational_solve(a, b):
+    b = b[: len(a)] + [0] * (len(a) - len(b))
+    rational = solve_rational(a, b)
+    solved = solve_integer_linear(a, b)
+    if rational is None:
+        assert not solved and solved.kind == "no_rational"
+    elif solved:
+        assert all(type(x) is int for x in solved)
+        assert mat_vec(a, solved) == b
+    else:
+        # an integral rational solution would contradict the witness
+        assert any(x.denominator != 1 for x in rational)
+        assert solved.kind == "not_integral"
+        assert all(isinstance(x, Fraction) for x in solved.rational)
+        assert mat_vec(a, list(solved.rational)) == b
+
+
+@FIXED
 @given(matrices(), st.sampled_from([QQ, PrimeField(2), PrimeField(5)]))
 def test_rref_is_idempotent_and_spans(a, fld):
     basis = rref(a, fld)
@@ -110,3 +131,34 @@ def test_normalize_triple_kills_scaling(v, c):
     assert normalize_triple(
         [Fraction(3, 7) * x for x in v], QQ
     ) == normalize_triple(v, QQ)
+
+
+@st.composite
+def incidence_cases(draw):
+    """A prime and incidence data with d + d' <= 4 (brute force stays cheap)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    total = draw(st.integers(1, 4))
+    d = draw(st.integers(0, total))
+    cells = [(i, j) for i in range(1, d + 1) for j in range(1, total - d + 1)]
+    pairs = [cell for cell in cells if draw(st.booleans())]
+    return p, incidence_data(d, total - d, pairs)
+
+
+# two points on two common lines: no configuration of distinct points
+# and distinct lines realizes it, over any field
+BLOCK = incidence_data(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(incidence_cases())
+@example((2, BLOCK))
+@example((3, BLOCK))
+@example((5, BLOCK))
+def test_forward_checking_matches_brute_force(case):
+    p, inc = case
+    oracle = enumerate_c_i(inc, p, mode="brute")
+    assert enumerate_c_i(inc, p) == oracle
+    assert enumerate_c_i(inc, p, workers=2) == oracle
+    assert count_c_i(inc, p) == count_c_i(inc, p, workers=2) == len(oracle)
+    if inc is BLOCK:
+        assert oracle == []

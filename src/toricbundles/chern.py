@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -189,33 +190,74 @@ def _neighbor_flag(n, pair, chain, facet):
     return pair, tuple(rebuilt)
 
 
+@lru_cache(maxsize=None)
+def _face_positions(k):
+    """Positions of the generators of every nonempty face of a k-cone."""
+    return tuple(
+        tuple(t for t in range(k) if mask >> t & 1) for mask in range(1, 1 << k)
+    )
+
+
+def _face_disagreement(fan, restrict):
+    """Indices (i, j) of two maximal cones holding a common face F with
+    restrict(i, F) != restrict(j, F), or None when there are none.
+
+    Faces are sorted ray index tuples.  Every cone holding F is compared
+    with the first cone holding F, so each cone is restricted once to
+    each face it shares: N (2^n - 2) restrictions on a complete
+    simplicial fan, where all pairs of cones would take N^2 / 2.
+    """
+    reference = {}
+    for j, cone in enumerate(fan.max_cones):
+        for positions in _face_positions(len(cone)):
+            face = tuple(cone[t] for t in positions)
+            first = reference.setdefault(face, [j, None])
+            if first[0] != j:
+                if first[1] is None:
+                    first[1] = restrict(first[0], face)
+                if restrict(j, face) != first[1]:
+                    return first[0], j
+    return None
+
+
 def validate_chern(target, datum, samples=1000, seed=20260815, pairs=None):
     """None if restriction-compatible, else a ChernViolation.
 
-    Materialized fans are checked on every pair of maximal cones with a
-    shared ray; a lazy handle is checked on `samples` random adjacent
-    flag pairs (or on the caller's explicit flag pairs).
+    On a materialized fan every two maximal cones must induce the same
+    multiset on their whole intersection.  That holds exactly when all
+    cones holding a face agree on it, so each cone's values u.r (u its
+    characters, r its rays) are computed once and projected to each of
+    its shared faces (see _face_disagreement).  A disagreement is
+    reported for its two cones on their full intersection, where their
+    multisets differ as well.  A lazy handle is checked on `samples`
+    random adjacent flag pairs (or on the caller's explicit flag pairs).
     """
     handle = target if isinstance(target, MurphyFanHandle) else None
     fan = handle.fan if handle is not None else target
     if fan is not None and pairs is None:
-        chars = [chars_on_cone(datum, target, c) for c in fan.max_cones]
-        for i, j in combinations(range(len(fan.max_cones)), 2):
-            shared = sorted(set(fan.max_cones[i]) & set(fan.max_cones[j]))
-            if not shared:
-                continue
-            rays = [fan.rays[t] for t in shared]
-            va = _restriction(chars[i], rays)
-            vb = _restriction(chars[j], rays)
-            if va != vb:
-                return ChernViolation(
-                    cone_a=fan.max_cones[i],
-                    cone_b=fan.max_cones[j],
-                    shared=tuple(rays),
-                    values_a=va,
-                    values_b=vb,
-                )
-        return None
+        cones = fan.max_cones
+        chars = [chars_on_cone(datum, target, c) for c in cones]
+        # values[j][r]: the characters of cone j evaluated on its ray r
+        values = [
+            {r: tuple(sum(c * x for c, x in zip(u, fan.rays[r])) for u in us)
+             for r in cone}
+            for cone, us in zip(cones, chars)
+        ]
+        pair = _face_disagreement(
+            fan,
+            lambda j, face: sorted(zip(*(values[j][r] for r in face))),
+        )
+        if pair is None:
+            return None
+        i, j = pair
+        rays = [fan.rays[t] for t in sorted(set(cones[i]) & set(cones[j]))]
+        return ChernViolation(
+            cone_a=cones[i],
+            cone_b=cones[j],
+            shared=tuple(rays),
+            values_a=_restriction(chars[i], rays),
+            values_b=_restriction(chars[j], rays),
+        )
     if datum.kind != "murphy":
         raise ValueError("lazy validation needs the rule-based datum")
     n = datum.n
@@ -427,7 +469,13 @@ class PiecewisePolynomial:
 
 
 def chern_polynomial(datum, target, i):
-    """The i-th elementary symmetric class as a piecewise polynomial."""
+    """The i-th elementary symmetric class as a piecewise polynomial.
+
+    The datum must pass validate_chern.  As an audit of the polynomial
+    arithmetic, the polynomials of all cones holding a face must then
+    restrict to the same polynomial on it; each cone's polynomial is
+    substituted once per shared face (see _face_disagreement).
+    """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"index {i} outside 1..{datum.rank}")
     handle = target if isinstance(target, MurphyFanHandle) else None
@@ -447,17 +495,15 @@ def chern_polynomial(datum, target, i):
         p = _elementary_symmetric(chars, i, fan.dim)
         per_cone.append(p)
         polys.append(_canonical_poly(p))
-    for a, b in combinations(range(len(fan.max_cones)), 2):
-        shared = sorted(set(fan.max_cones[a]) & set(fan.max_cones[b]))
-        if not shared:
-            continue
-        rays = [fan.rays[t] for t in shared]
-        ra = _poly_substitute(per_cone[a], rays, len(rays))
-        rb = _poly_substitute(per_cone[b], rays, len(rays))
-        if ra != rb:
-            raise InternalAudit(
-                f"face disagreement between cones {a} and {b}"
-            )
+    mismatch = _face_disagreement(
+        fan,
+        lambda j, face: _poly_substitute(
+            per_cone[j], [fan.rays[t] for t in face], len(face)
+        ),
+    )
+    if mismatch is not None:
+        a, b = mismatch
+        raise InternalAudit(f"face disagreement between cones {a} and {b}")
     return PiecewisePolynomial(nvars=fan.dim, degree=i, polys=tuple(polys))
 
 

@@ -303,22 +303,35 @@ def _run_engine(n_objects, constraints, p, mode, budget, workers, listing):
             n_objects, constraints, on, len(universe), budget, listing
         )
         return found, count
-    tasks = [
-        (n_objects, constraints, p, budget, listing, v)
-        for v in range(len(universe))
-    ]
+    # Branch v fixes object 0 to value v; it runs the nodes the serial
+    # search spends below that value.  Each branch gets the whole budget,
+    # and the results are read in branch order, so the search refuses as
+    # soon as the ordered prefix passes the budget, whatever `workers` is.
     found, count, total_nodes = [], 0, 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part, k, nodes in pool.map(_branch_task, tasks):
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        branches = [
+            pool.submit(
+                _branch_task, (n_objects, constraints, p, budget, listing, v)
+            )
+            for v in range(len(universe))
+        ]
+        for branch in branches:
+            try:
+                part, k, nodes = branch.result()
+            except BudgetExceeded as exc:
+                part, k, nodes = [], exc.partial_count, exc.nodes
             found.extend(part)
             count += k
             total_nodes += nodes
-    if budget is not None and total_nodes > budget:
-        raise BudgetExceeded(
-            f"node budget {budget} exhausted across workers",
-            partial_count=count,
-            nodes=total_nodes,
-        )
+            if budget is not None and total_nodes > budget:
+                raise BudgetExceeded(
+                    f"node budget {budget} exhausted across workers",
+                    partial_count=count,
+                    nodes=total_nodes,
+                )
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return found, count
 
 

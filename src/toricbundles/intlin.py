@@ -15,10 +15,7 @@ from .errors import FourierMotzkinBlowup
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v):
@@ -322,48 +319,63 @@ def solve_integer_linear(a, b):
 
 def _normalize_ineq(coeffs, rhs):
     """Scale (coeffs, rhs) for c.x >= rhs to a primitive integer row."""
-    denom = 1
-    for x in (*coeffs, rhs):
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    row = [int(x * denom) for x in coeffs] + [int(rhs * denom)]
+    row = (*coeffs, rhs)
+    if set(map(type, row)) != {int}:
+        denom = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+        row = tuple(int(x * denom) for x in row)
     g = vec_gcd(row)
     if g > 1:
-        row = [x // g for x in row]
-    return tuple(row)
+        row = tuple(x // g for x in row)
+    return row
 
 
 def fm_feasible(eqs, ineqs, nvars, max_rows=200_000):
     """Exact feasibility of {eq.x = rhs} and {c.x >= rhs} over Q.
 
-    Equalities are removed by Gaussian substitution, then the remaining
-    variables are eliminated by Fourier-Motzkin.  Entries may be ints or
-    Fractions.
+    Entries may be ints or Fractions.  Each row is scaled once to a
+    primitive integer row, and everything after that stays in integers.
+    Equalities are removed by fraction-free elimination (after Bareiss):
+    the pivot e of column p turns every other row r into
+    |e_p| r - sign(e_p) r_p e, divided by its gcd.  The pivot columns are
+    those of the reduced echelon form, and the multiplier |e_p| is
+    positive, so the rows left over the free variables are those of
+    Gaussian substitution up to a positive factor.  Fourier-Motzkin then
+    eliminates the free variables, fewest new rows first, and raises
+    FourierMotzkinBlowup beyond `max_rows` rows.
     """
-    subs = None
-    active = list(range(nvars))
-    if eqs:
-        rows, pivots = _rref_aug([list(c) for c, _ in eqs], [r for _, r in eqs])
-        for row in rows[len(pivots):]:
-            if row[-1] != 0:
-                return False
-        subs = dict(zip(pivots, rows[: len(pivots)]))
-        active = [j for j in range(nvars) if j not in subs]
-
-    work = []
-    for coeffs, rhs in ineqs:
-        coeffs = [Fraction(x) for x in coeffs]
-        rhs = Fraction(rhs)
-        if subs:
-            for p, row in subs.items():
-                f = coeffs[p]
-                if f != 0:
-                    # x_p = row[-1] - sum over free j of row[j] * x_j
-                    rhs -= f * row[-1]
-                    for j in active:
-                        coeffs[j] -= f * row[j]
-                    coeffs[p] = Fraction(0)
-        work.append(_normalize_ineq([coeffs[j] for j in active], rhs))
+    pending = [_normalize_ineq(c, r) for c, r in eqs]
+    work = [_normalize_ineq(c, r) for c, r in ineqs]
+    pivots = set()
+    for col in range(nvars):
+        if not pending:
+            break
+        e = next((e for e in pending if e[col]), None)
+        if e is None:
+            continue
+        pending.remove(e)
+        pivots.add(col)
+        scale = e[col]
+        sign = 1 if scale > 0 else -1
+        scale *= sign
+        for rows in (pending, work):
+            for k, r in enumerate(rows):
+                f = r[col]
+                if f:
+                    f *= sign
+                    comb = [scale * x - f * y for x, y in zip(r, e)]
+                    g = vec_gcd(comb)
+                    if g > 1:
+                        comb = [x // g for x in comb]
+                    rows[k] = comb
+    # every equality left has lost all its coefficients
+    if any(e[-1] for e in pending):
+        return False
+    active = [j for j in range(nvars) if j not in pivots]
+    if pivots:
+        work = [tuple([r[j] for j in active] + [r[-1]]) for r in work]
 
     rows = set()
     for row in work:

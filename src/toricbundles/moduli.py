@@ -22,7 +22,6 @@ from .murphy import (
     build_murphy_fan,
     cone_membership,
     incidence_data,
-    incidence_from_json,
     ray_vector,
 )
 
@@ -233,11 +232,3 @@ def audit_pairwise(m):
         if cone_membership(handle, triple):
             return PairwiseViolation(triple=triple)
     return None
-
-
-def instance_from_json(data, materialize=None, allow_degenerate=False):
-    return make_murphy_instance(
-        incidence_from_json(data),
-        materialize=materialize,
-        allow_degenerate=allow_degenerate,
-    )

@@ -15,7 +15,6 @@ labels alone, without materializing the fan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial
@@ -80,8 +79,42 @@ def incidence_data(points, lines, pairs):
     ))
 
 
+def _json_count(value, what):
+    # bool is an int subclass; JSON true/false is never a count or index
+    if type(value) is not int:
+        raise ValueError(f"incidence JSON: {what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"incidence JSON: {what} must be nonnegative, got {value}")
+    return value
+
+
 def incidence_from_json(data):
-    return incidence_data(data["points"], data["lines"], data["incidences"])
+    """IncidenceData from {"points": d, "lines": d', "incidences": pairs}.
+
+    Raises ValueError with a one-line reason on anything else: a missing
+    key, a count or index that is not a nonnegative integer (booleans
+    included), a pair that is not two integers, or a repeated pair.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("incidence JSON must be an object")
+    for key in ("points", "lines", "incidences"):
+        if key not in data:
+            raise ValueError(f"incidence JSON lacks the key {key!r}")
+    points = _json_count(data["points"], "points")
+    lines = _json_count(data["lines"], "lines")
+    if not isinstance(data["incidences"], list):
+        raise ValueError("incidence JSON: incidences must be a list of pairs")
+    pairs = set()
+    for pair in data["incidences"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(
+                f"incidence JSON: {pair!r} is not a pair of two integers"
+            )
+        i, j = (_json_count(x, "a pair entry") for x in pair)
+        if (i, j) in pairs:
+            raise ValueError(f"incidence JSON: pair {[i, j]} is repeated")
+        pairs.add((i, j))
+    return incidence_data(points, lines, pairs)
 
 
 def fano_incidence():
@@ -319,7 +352,3 @@ def murphy_fan_to_json(handle):
         "ray_count": murphy_ray_count(n),
         "max_cone_count": murphy_max_cone_count(n),
     }
-
-
-def dump_murphy_fan(handle):
-    return json.dumps(murphy_fan_to_json(handle), sort_keys=True, separators=(",", ":"))

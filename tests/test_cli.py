@@ -319,3 +319,42 @@ def test_stdout_is_canonical_json(tmp_path, capsys):
     _, out, _ = run(capsys, ["murphy", "equations", "--incidence", pair])
     data = json.loads(out)
     assert out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"points": True, "lines": 1, "incidences": []}, "points must be an integer"),
+    ({"points": 2, "lines": False, "incidences": []}, "lines must be an integer"),
+    ({"points": 2, "lines": 1, "incidences": [[True, 1]]},
+     "a pair entry must be an integer"),
+    ({"points": -1, "lines": 1, "incidences": []}, "points must be nonnegative"),
+    ({"points": 2, "lines": 1, "incidences": [[1, -1]]},
+     "a pair entry must be nonnegative"),
+    ({"points": 2, "lines": 1, "incidences": [[1, 1], [1, 1]]},
+     "pair [1, 1] is repeated"),
+    ({"points": 2, "lines": 1, "incidences": [[1]]},
+     "[1] is not a pair of two integers"),
+    ({"points": 2, "lines": 1, "incidences": [[1, 1, 1]]},
+     "[1, 1, 1] is not a pair of two integers"),
+    ({"points": 2, "lines": 1, "incidences": [[1, 1.5]]},
+     "a pair entry must be an integer"),
+    ({"points": 2, "lines": 1, "incidences": [[1, "1"]]},
+     "a pair entry must be an integer"),
+    ({"points": 2, "lines": 1, "incidences": {"1": 1}},
+     "incidences must be a list of pairs"),
+    ({"points": 2, "lines": 1}, "lacks the key 'incidences'"),
+    ({"lines": 1, "incidences": []}, "lacks the key 'points'"),
+    ([2, 1, []], "must be an object"),
+])
+def test_malformed_incidence_json_exits_2(tmp_path, capsys, data, reason):
+    path = write(tmp_path, "bad.json", data)
+    for argv in (
+        ["incidence", "enumerate", "--incidence", path, "--field", "2",
+         "--count-only"],
+        ["murphy", "verify", "--incidence", path, "--field", "2"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: incidence JSON")
+        assert reason in err
+        assert err.count("\n") == 1

@@ -18,6 +18,7 @@ from toricbundles.incidence import (
     check_configuration,
     configuration_from_json,
     configuration_to_json,
+    count_c_i,
     dump_configuration,
     enumerate_c_i,
     inverse_transpose,
@@ -216,6 +217,29 @@ def test_worker_budget_error_keeps_its_counts():
         enumerate_c_i(incidence_data(3, 0, []), 3, budget=25, workers=2)
     assert info.value.nodes == 26
     assert info.value.partial_count == 22
+
+
+def test_worker_budget_is_global_and_deterministic():
+    # each branch fixes point 1 and costs 1 + 12 + 12 * 11 = 145 nodes;
+    # the first two branches in order pass 200, whatever the worker count
+    inc = incidence_data(3, 0, [])
+    seen = set()
+    for workers in (2, 3):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_c_i(inc, 3, budget=200, workers=workers)
+        seen.add((info.value.nodes, info.value.partial_count))
+    assert seen == {(290, 264)}
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_c_i(inc, 3, budget=200)
+    assert info.value.nodes == 201
+    # the serial search runs 13 * 145 nodes; workers refuse exactly when it does
+    for budget in (13 * 145 - 1, 13 * 145):
+        for workers in (None, 2):
+            try:
+                count = count_c_i(inc, 3, budget=budget, workers=workers)
+            except BudgetExceeded:
+                count = None
+            assert count == (None if budget < 13 * 145 else 13 * 12 * 11)
 
 
 def test_worker_partition_matches_serial():

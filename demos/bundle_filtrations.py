@@ -3,11 +3,12 @@ Filtration compatibility: splitting characters cone by cone
 ===========================================================
 """
 
+from toricbundles import canonical_json
 from toricbundles.fans import make_fan, projective_fan
 from toricbundles.fields import QQ
 from toricbundles.klyachko import (
     check_compatibility,
-    dump_filtration,
+    filtration_to_json,
     make_filtration,
     murphy_filtration,
 )
@@ -49,4 +50,4 @@ print("\nthree distinct lines on one orthant:", bool(verdict))
 print("reason:", verdict.reason, " at cell:", verdict.cell)
 
 # filtrations travel as JSON; ray keys are comma-joined coordinates
-print("\nJSON:", dump_filtration(filt)[:120], "...")
+print("\nJSON:", canonical_json(filtration_to_json(filt))[:120], "...")

@@ -3,8 +3,9 @@ Fans, star subdivision, and the smoothness/completeness tests
 =============================================================
 """
 
+from toricbundles import canonical_json
 from toricbundles.fans import (
-    dump_fan,
+    fan_to_json,
     is_complete,
     is_smooth,
     make_fan,
@@ -34,4 +35,4 @@ p112 = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
 print("\nP(1,1,2) smooth:", is_smooth(p112), " complete:", is_complete(p112))
 
 # fans serialize to a canonical JSON document
-print("\nJSON:", dump_fan(p112))
+print("\nJSON:", canonical_json(fan_to_json(p112)))

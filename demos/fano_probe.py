@@ -13,10 +13,10 @@ from toricbundles.murphy import fano_incidence
 fano = fano_incidence()
 print("incidences:", sorted(fano.pairs))
 
-over_two = enumerate_c_i(fano, 2, mode="backtrack")
+over_two = enumerate_c_i(fano, 2)
 print("\nrealizations over F_2:", len(over_two))
 print("witness:", configuration_to_json(over_two[0]))
 
-over_three = enumerate_c_i(fano, 3, mode="backtrack")
+over_three = enumerate_c_i(fano, 3)
 print("\nrealizations over F_3:", len(over_three),
       "(the Fano configuration needs -1 = 1)")

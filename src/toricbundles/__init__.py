@@ -15,6 +15,13 @@ prime-field) computational kernels:
 - cli: command-line access to all of the above
 """
 
+import json
+
 __version__ = "0.1.0"
 
 SCHEMA_VERSION = "1"
+
+
+def canonical_json(obj):
+    """The one JSON text for obj: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -14,7 +14,6 @@ classes as piecewise polynomials.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -385,10 +384,6 @@ def chern_from_json(data):
         for entry in data["cones"]
     }
     return explicit_chern(int(data["rank"]), cone_chars)
-
-
-def dump_chern(datum):
-    return json.dumps(chern_to_json(datum), sort_keys=True, separators=(",", ":"))
 
 
 def _poly_add(p, q):

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, canonical_json
 from .chern import (
     chern_from_json,
     chern_to_json,
@@ -63,7 +63,7 @@ from .murphy import (
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(canonical_json(obj) + "\n")
 
 
 def _say(message):
@@ -176,7 +176,6 @@ def cmd_murphy_verify(args):
     report = verify_equivalence(
         incidence,
         args.field,
-        mode=args.mode,
         budget=args.budget,
         workers=args.workers,
         allow_degenerate=args.allow_degenerate,
@@ -185,8 +184,7 @@ def cmd_murphy_verify(args):
     _emit(data)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            handle.write(canonical_json(data) + "\n")
     verdict = "agree" if report.equal else "DISAGREE"
     _say(f"over F_{args.field}: compiled conditions give "
          f"{report.count_conditions} configurations, direct enumeration "
@@ -307,7 +305,7 @@ def cmd_bundle_signature(args):
 
 def cmd_incidence_enumerate(args):
     incidence = incidence_from_json(_load_json(args.incidence))
-    options = dict(mode=args.mode, budget=args.budget, workers=args.workers)
+    options = dict(budget=args.budget, workers=args.workers)
     if args.count_only:
         data = {"count": count_c_i(incidence, args.field, **options)}
     else:
@@ -383,8 +381,6 @@ def build_parser():
     )
     p.add_argument("--incidence", required=True)
     p.add_argument("--field", type=int, required=True, help="prime p")
-    p.add_argument("--mode", choices=("auto", "brute", "backtrack"),
-                   default="auto")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--allow-degenerate", action="store_true")
@@ -435,8 +431,6 @@ def build_parser():
     p = incidence.add_parser("enumerate", help="all realizing configurations")
     p.add_argument("--incidence", required=True)
     p.add_argument("--field", type=int, required=True)
-    p.add_argument("--mode", choices=("auto", "brute", "backtrack"),
-                   default="auto")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--count-only", action="store_true")

@@ -9,7 +9,6 @@ sorted index tuples, making equal fans compare equal structurally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -121,13 +120,12 @@ def make_fan(dim, rays, max_cones):
         raise ValueError("ray of wrong dimension")
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
+    if any(not 0 <= i < len(rays) for cone in max_cones for i in cone):
+        raise ValueError("cone references a missing ray")
     order = sorted(range(len(rays)), key=lambda i: rays[i])
     remap = {old: new for new, old in enumerate(order)}
     sorted_rays = tuple(rays[i] for i in order)
     cones = sorted({tuple(sorted(remap[i] for i in set(cone))) for cone in max_cones})
-    for cone in cones:
-        if cone and not 0 <= cone[0] <= cone[-1] < len(rays):
-            raise ValueError("cone references a missing ray")
     return Fan(dim=dim, rays=sorted_rays, max_cones=tuple(cones))
 
 
@@ -351,10 +349,28 @@ def fan_to_json(fan):
 
 
 def fan_from_json(data):
-    if data.get("max_cones") == "lazy":
+    """Fan from {"dim": n, "rays": [[...], ...], "max_cones": [[...], ...]}.
+
+    Raises ValueError with a one-line reason on anything else: a missing
+    key, the lazy cone list, or a dimension, ray coordinate or cone index
+    that is not an integer (booleans included).
+    """
+    if not isinstance(data, dict):
+        raise ValueError("fan JSON must be an object")
+    for key in ("dim", "rays", "max_cones"):
+        if key not in data:
+            raise ValueError(f"fan JSON lacks the key {key!r}")
+    if data["max_cones"] == "lazy":
         raise ValueError("lazy fan JSON carries no cone list to load")
-    return make_fan(data["dim"], data["rays"], data["max_cones"])
-
-
-def dump_fan(fan):
-    return json.dumps(fan_to_json(fan), sort_keys=True, separators=(",", ":"))
+    dim = data["dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"fan JSON: dim must be a nonnegative integer, got {dim!r}")
+    for key, what in (("rays", "ray coordinate"), ("max_cones", "cone index")):
+        rows = data[key]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"fan JSON: {key} must be a list of lists")
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"fan JSON: a {what} must be an integer, got {x!r}")
+    return make_fan(dim, data["rays"], data["max_cones"])

@@ -7,17 +7,18 @@ prime field runs as forward checking over bitset domains: each object's
 domain is an int bitmask over the p^2 + p + 1 points, an assignment
 narrows its neighbours' domains in one step, an emptied domain prunes
 the branch, and the object with the fewest values left goes next.
-Mode `auto` always picks this engine; `brute` is a full product scan
-kept as a reference.  Both consume the same binary constraints, which
-come from two independent sources: directly from incidence data, or
-from a compiled ConditionSet.
+The engine consumes binary constraints from two independent sources:
+directly from incidence data, or from a compiled ConditionSet.  The
+constraints read off incidence data are the one definition of "a
+configuration realizes the incidence data": `check_configuration`
+tests them one by one in any field.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -38,6 +39,18 @@ class Configuration:
 
 
 def normalize_triple(v, fld):
+    """Scale a nonzero triple so that its first nonzero entry is 1.
+
+    Raises ValueError unless v has three entries, each an int, a
+    Fraction or a string such as "1/2"; a bool (JSON true/false) and a
+    float are not field elements.
+    """
+    v = tuple(v)
+    if len(v) != 3 or not all(
+        isinstance(x, (int, str, Fraction)) and not isinstance(x, bool)
+        for x in v
+    ):
+        raise ValueError(f"{list(v)!r} is not a triple of field elements")
     v = tuple(fld.coerce(x) for x in v)
     lead = next((x for x in v if x != fld.zero), None)
     if lead is None:
@@ -65,18 +78,25 @@ def configuration_to_json(config):
 
 
 def configuration_from_json(data):
-    fld = field_from_tag(data["field"])
-    return make_configuration(
-        data["field"],
-        [[fld.parse(x) for x in v] for v in data["points"]],
-        [[fld.parse(x) for x in v] for v in data["lines"]],
-    )
+    """Configuration from {"field": tag, "points": [...], "lines": [...]}.
 
-
-def dump_configuration(config):
-    return json.dumps(
-        configuration_to_json(config), sort_keys=True, separators=(",", ":")
-    )
+    Raises ValueError with a one-line reason on anything else: a missing
+    key, a vector list that is not a list of lists, or a vector that
+    normalize_triple refuses.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("configuration JSON must be an object")
+    for key in ("field", "points", "lines"):
+        if key not in data:
+            raise ValueError(f"configuration JSON lacks the key {key!r}")
+    for key in ("points", "lines"):
+        vectors = data[key]
+        if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+            raise ValueError(f"configuration JSON: {key} must be a list of vectors")
+    try:
+        return make_configuration(data["field"], data["points"], data["lines"])
+    except ValueError as exc:
+        raise ValueError(f"configuration JSON: {exc}") from None
 
 
 def projective_points(p):
@@ -90,23 +110,26 @@ def projective_points(p):
     return sorted(seen)
 
 
+def _holds(kind, a, b, fld):
+    """Whether normalized triples a and b satisfy one binary constraint."""
+    if kind == DISTINCT:
+        return a != b
+    dot = fld.zero
+    for x, y in zip(a, b):
+        dot = fld.add(dot, fld.mul(x, y))
+    return (dot == fld.zero) == (kind == ZERO_DOT)
+
+
 def check_configuration(config, incidence):
-    """Exact incidence match plus pairwise distinctness of each type."""
+    """Whether the configuration realizes the incidence data exactly."""
     if len(config.points) != incidence.points or len(config.lines) != incidence.lines:
         raise ValueError("configuration shape does not match incidence data")
     fld = field_from_tag(config.field)
-    if len(set(config.points)) != len(config.points):
-        return False
-    if len(set(config.lines)) != len(config.lines):
-        return False
-    for i, x in enumerate(config.points, start=1):
-        for j, l in enumerate(config.lines, start=1):
-            dot = fld.zero
-            for a, b in zip(x, l):
-                dot = fld.add(dot, fld.mul(a, b))
-            if (dot == fld.zero) != incidence.incident(i, j):
-                return False
-    return True
+    values = config.points + config.lines
+    return all(
+        _holds(kind, values[a], values[b], fld)
+        for a, b, kind in _constraints_from_incidence(incidence)
+    )
 
 
 def _constraints_from_incidence(incidence):
@@ -255,31 +278,6 @@ def _forward_check(n_objects, constraints, on, size, budget, listing, first=None
     return found, count, nodes
 
 
-def _brute(n_objects, constraints, on, size, budget):
-    """Every assignment in lexicographic order, each checked in full."""
-    found = []
-    nodes = 0
-    for combo in product(range(size), repeat=n_objects):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(
-                f"node budget {budget} exhausted",
-                partial_count=len(found),
-                nodes=nodes,
-            )
-        for a, b, kind in constraints:
-            va, vb = combo[a], combo[b]
-            if kind == DISTINCT:
-                ok = va != vb
-            else:
-                ok = (on[va] >> vb & 1) == (kind == ZERO_DOT)
-            if not ok:
-                break
-        else:
-            found.append(combo)
-    return found
-
-
 def _branch_task(args):
     n_objects, constraints, p, budget, listing, first = args
     universe, on = _plane(p)
@@ -288,16 +286,13 @@ def _branch_task(args):
     )
 
 
-def _run_engine(n_objects, constraints, p, mode, budget, workers, listing):
+def _run_engine(n_objects, constraints, p, budget, workers, listing):
     """(assignment tuples if `listing`, solution count) over F_p.
 
-    `brute` scans every assignment; any other mode runs forward
-    checking, split over `workers` processes by the value of object 0.
+    Runs forward checking, split over `workers` processes by the value
+    of object 0 when more than one is asked for.
     """
     universe, on = _plane(p)
-    if mode == "brute":
-        found = _brute(n_objects, constraints, on, len(universe), budget)
-        return found, len(found)
     if not (workers and workers > 1 and n_objects >= 1):
         found, count, _ = _forward_check(
             n_objects, constraints, on, len(universe), budget, listing
@@ -348,32 +343,32 @@ def _configurations(d, found, p):
     ]
 
 
-def enumerate_c_i(incidence, p, mode="auto", budget=None, workers=None):
+def enumerate_c_i(incidence, p, budget=None, workers=None):
     """All F_p configurations realizing the incidence data exactly."""
     found, _ = _run_engine(
         incidence.total,
         _constraints_from_incidence(incidence),
-        p, mode, budget, workers, listing=True,
+        p, budget, workers, listing=True,
     )
     return _configurations(incidence.points, found, p)
 
 
-def count_c_i(incidence, p, mode="auto", budget=None, workers=None):
+def count_c_i(incidence, p, budget=None, workers=None):
     """The number of configurations enumerate_c_i would return."""
     _, count = _run_engine(
         incidence.total,
         _constraints_from_incidence(incidence),
-        p, mode, budget, workers, listing=False,
+        p, budget, workers, listing=False,
     )
     return count
 
 
-def solutions(conds, p, mode="auto", budget=None, workers=None):
+def solutions(conds, p, budget=None, workers=None):
     """All F_p configurations satisfying every atom of a ConditionSet."""
     found, _ = _run_engine(
         conds.points + conds.lines,
         _constraints_from_atoms(conds),
-        p, mode, budget, workers, listing=True,
+        p, budget, workers, listing=True,
     )
     return _configurations(conds.points, found, p)
 
@@ -405,25 +400,19 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    incidence, p, mode="auto", budget=None, workers=None, allow_degenerate=False
+    incidence, p, budget=None, workers=None, allow_degenerate=False
 ):
     """Compare compiled-condition solutions with direct enumeration."""
     instance = make_murphy_instance(
         incidence, materialize=False, allow_degenerate=allow_degenerate
     )
     conds = generate_conditions(instance)
-    via_conditions = solutions(conds, p, mode=mode, budget=budget, workers=workers)
-    direct = enumerate_c_i(incidence, p, mode=mode, budget=budget, workers=workers)
+    via_conditions = solutions(conds, p, budget=budget, workers=workers)
+    direct = enumerate_c_i(incidence, p, budget=budget, workers=workers)
     equal = via_conditions == direct
-    discrepancy = None
-    if not equal:
-        left = set(via_conditions)
-        right = set(direct)
-        for config in sorted(
-            left ^ right, key=lambda c: (c.points, c.lines)
-        ):
-            discrepancy = config
-            break
+    discrepancy = None if equal else min(
+        set(via_conditions) ^ set(direct), key=lambda c: (c.points, c.lines)
+    )
     return EquivalenceReport(
         points=incidence.points,
         lines=incidence.lines,
@@ -434,58 +423,3 @@ def verify_equivalence(
         discrepancy=discrepancy,
     )
 
-
-def _det3(m, p):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    ) % p
-
-
-def random_invertible_matrix(p, rng):
-    while True:
-        m = tuple(
-            tuple(rng.randrange(p) for _ in range(3)) for _ in range(3)
-        )
-        if _det3(m, p) != 0:
-            return m
-
-
-def inverse_transpose(m, p):
-    det = _det3(m, p)
-    det_inv = pow(det, p - 2, p)
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = (
-                m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-            )
-            cof[i][j] = (-1) ** (i + j) * minor % p
-    # inverse transpose = cofactor matrix / det
-    return tuple(
-        tuple(cof[i][j] * det_inv % p for j in range(3)) for i in range(3)
-    )
-
-
-def transform_configuration(config, matrix, p):
-    """Apply a projectivity: matrix on points, inverse transpose on lines."""
-    fld = field_from_tag(config.field)
-    if fld.tag != f"Fp:{p}":
-        raise ValueError("matrix field does not match the configuration")
-    m_lines = inverse_transpose(matrix, p)
-
-    def apply(m, v):
-        return normalize_triple(
-            tuple(sum(m[i][j] * v[j] for j in range(3)) % p for i in range(3)),
-            fld,
-        )
-
-    return Configuration(
-        field=config.field,
-        points=tuple(apply(matrix, x) for x in config.points),
-        lines=tuple(apply(m_lines, l) for l in config.lines),
-    )

@@ -15,7 +15,6 @@ jump.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -151,10 +150,6 @@ def filtration_from_json(data):
             for s in steps
         ]
     return make_filtration(int(data["rank"]), fld, ray_steps)
-
-
-def dump_filtration(filt):
-    return json.dumps(filtration_to_json(filt), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ confirms no cone ever joins three original rays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -96,10 +95,6 @@ def conditions_to_json(conds):
 def conditions_from_json(data):
     atoms = [Atom(kind=a["kind"], i=int(a["i"]), j=int(a["j"])) for a in data["atoms"]]
     return make_condition_set(int(data["points"]), int(data["lines"]), atoms)
-
-
-def dump_conditions(conds):
-    return json.dumps(conditions_to_json(conds), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -239,10 +239,10 @@ def test_criterion_6_no_extra_incidences():
 def test_criterion_7_fano_realizability_probe():
     start = time.monotonic()
     fano = fano_incidence()
-    over_two = enumerate_c_i(fano, 2, mode="backtrack")
+    over_two = enumerate_c_i(fano, 2)
     assert over_two
     witness = configuration_to_json(over_two[0])
-    over_three = enumerate_c_i(fano, 3, mode="backtrack")
+    over_three = enumerate_c_i(fano, 3)
     assert over_three == []
     elapsed = time.monotonic() - start
     assert elapsed < 600

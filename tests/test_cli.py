@@ -43,6 +43,10 @@ def test_usage_errors(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    # the search has one engine; there is no --mode to pick another
+    code, out, _ = run(capsys, ["incidence", "enumerate", "--incidence", "x",
+                                "--field", "2", "--mode", "brute"])
+    assert (code, out) == (2, "")
 
 
 def test_murphy_fan_n3(capsys):
@@ -274,7 +278,7 @@ def test_worker_output_is_byte_identical(tmp_path, capsys):
     for workers in ("1", "2", "3"):
         code, out, _ = run(capsys, [
             "incidence", "enumerate", "--incidence", pair, "--field", "2",
-            "--mode", "backtrack", "--workers", workers,
+            "--workers", workers,
         ])
         assert code == 0
         outputs.append(out)
@@ -290,11 +294,6 @@ def test_count_only_is_byte_identical(tmp_path, capsys):
         ])
         assert code == 0
         assert out == '{"count":468}\n'
-    code, out, _ = run(capsys, [
-        "incidence", "enumerate", "--incidence", pair, "--field", "3",
-        "--count-only", "--mode", "brute",
-    ])
-    assert out == '{"count":468}\n'
 
 
 def test_fourier_motzkin_blowup_exits_2(tmp_path, capsys, monkeypatch):
@@ -356,5 +355,55 @@ def test_malformed_incidence_json_exits_2(tmp_path, capsys, data, reason):
         assert code == 2
         assert out == ""
         assert err.startswith("error: incidence JSON")
+        assert reason in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"field": "Fp:2", "points": [[1, 0]], "lines": [[0, 0, 1]]},
+     "[1, 0] is not a triple of field elements"),
+    ({"field": "Fp:2", "points": [[1, 0, 0, 5]], "lines": [[0, 0, 1]]},
+     "[1, 0, 0, 5] is not a triple of field elements"),
+    ({"field": "Fp:2", "points": [[True, 0, 0]], "lines": [[0, 0, 1]]},
+     "[True, 0, 0] is not a triple of field elements"),
+    ({"field": "Fp:2", "points": [[1, 0, 0]], "lines": [[0, None, 1]]},
+     "[0, None, 1] is not a triple of field elements"),
+    ({"field": "Fp:2", "points": [1], "lines": [[0, 0, 1]]},
+     "points must be a list of vectors"),
+    ({"points": [[1, 0, 0]], "lines": [[0, 0, 1]]}, "lacks the key 'field'"),
+    ({"field": "Fp:2", "lines": [[0, 0, 1]]}, "lacks the key 'points'"),
+    ({"field": "Fp:2", "points": [[1, 0, 0]]}, "lacks the key 'lines'"),
+    ([1], "must be an object"),
+])
+def test_malformed_configuration_json_exits_2(tmp_path, capsys, data, reason):
+    inc = write(tmp_path, "inc.json", {"points": 1, "lines": 1, "incidences": [[1, 1]]})
+    path = write(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, ["incidence", "check", "--config", path,
+                                  "--incidence", inc])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: configuration JSON")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, reason", [
+    (dict(P112, rays=[[True, 0], [0, 1], [-1, -1]]),
+     "a ray coordinate must be an integer, got True"),
+    (dict(P112, max_cones=[[0, 1.5], [1, 2], [0, 2]]),
+     "a cone index must be an integer, got 1.5"),
+    (dict(P112, max_cones=[[0, 3], [1, 2], [0, 2]]), "cone references a missing ray"),
+    (dict(P112, dim=True), "dim must be a nonnegative integer"),
+    (dict(P112, rays=[1, 2]), "rays must be a list of lists"),
+    ({"dim": 2, "rays": P112["rays"]}, "lacks the key 'max_cones'"),
+    ([P112], "must be an object"),
+])
+def test_malformed_fan_json_exits_2(tmp_path, capsys, data, reason):
+    path = write(tmp_path, "bad.json", data)
+    for command in ("validate", "smooth", "complete"):
+        code, out, err = run(capsys, ["fan", command, "--fan", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
         assert reason in err
         assert err.count("\n") == 1

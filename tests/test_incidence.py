@@ -8,26 +8,22 @@ line).  For one marked point on one line and one point off it:
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations, product
 
 import pytest
 
+from toricbundles import canonical_json
 from toricbundles.errors import BudgetExceeded
 from toricbundles.incidence import (
-    Configuration,
     check_configuration,
     configuration_from_json,
     configuration_to_json,
     count_c_i,
-    dump_configuration,
     enumerate_c_i,
-    inverse_transpose,
     make_configuration,
     normalize_triple,
     projective_points,
-    random_invertible_matrix,
     solutions,
-    transform_configuration,
     verify_equivalence,
 )
 from toricbundles.fields import QQ, PrimeField
@@ -39,8 +35,9 @@ def test_normalize_triple():
     assert normalize_triple((2, 4, 6), QQ) == (1, 2, 3)
     assert normalize_triple((0, 2, 3), PrimeField(5)) == (0, 1, 4)
     assert normalize_triple((0, 0, 7), PrimeField(2)) == (0, 0, 1)
-    with pytest.raises(ValueError):
-        normalize_triple((0, 0, 0), QQ)
+    for bad in ((0, 0, 0), (1, 0), (1, 0, 0, 5), (True, 0, 0), (1.0, 0, 0)):
+        with pytest.raises(ValueError):
+            normalize_triple(bad, QQ)
 
 
 def test_projective_point_counts():
@@ -163,6 +160,7 @@ def test_equivalence_sweep_five_objects_f3():
 
 
 def test_brute_and_backtrack_agree():
+    """The forward-checking engine against a full scan of P^2(F_p)."""
     cases = [
         incidence_data(2, 2, [(1, 1), (2, 2)]),
         incidence_data(3, 1, [(1, 1), (2, 1)]),
@@ -170,9 +168,42 @@ def test_brute_and_backtrack_agree():
     ]
     for inc in cases:
         for p in (2, 3):
-            assert enumerate_c_i(inc, p, mode="brute") == enumerate_c_i(
-                inc, p, mode="backtrack"
-            )
+            scan = []
+            for combo in product(projective_points(p), repeat=inc.total):
+                config = make_configuration(
+                    f"Fp:{p}", combo[: inc.points], combo[inc.points :]
+                )
+                if check_configuration(config, inc):
+                    scan.append(config)
+            assert enumerate_c_i(inc, p) == scan
+            assert enumerate_c_i(inc, p, workers=2) == scan
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _move(config, m):
+    """Points x -> m x, lines l -> cof(m) l.
+
+    cof(m) = det(m) m^-T has the columns c1 x c2, c2 x c0, c0 x c1 for
+    the columns c0, c1, c2 of m, so (m x) . (cof(m) l) = det(m) (x . l).
+    """
+    c0, c1, c2 = zip(*m)
+    cof = tuple(zip(_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)))
+
+    def apply(a, v):
+        return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+    return make_configuration(
+        config.field,
+        [apply(m, x) for x in config.points],
+        [apply(cof, l) for l in config.lines],
+    )
 
 
 def test_projective_invariance():
@@ -180,24 +211,14 @@ def test_projective_invariance():
     inc = incidence_data(2, 1, [(1, 1)])
     for p in (2, 3):
         configs = set(enumerate_c_i(inc, p))
-        for _ in range(5):
-            m = random_invertible_matrix(p, rng)
-            moved = {transform_configuration(c, m, p) for c in configs}
-            assert moved == configs
-
-
-def test_inverse_transpose_preserves_dot_vanishing():
-    rng = random.Random(7)
-    for p in (2, 3, 5):
-        for _ in range(20):
-            m = random_invertible_matrix(p, rng)
-            mt = inverse_transpose(m, p)
-            x = tuple(rng.randrange(p) for _ in range(3))
-            l = tuple(rng.randrange(p) for _ in range(3))
-            dot = sum(a * b for a, b in zip(x, l)) % p
-            mx = tuple(sum(m[i][j] * x[j] for j in range(3)) % p for i in range(3))
-            ml = tuple(sum(mt[i][j] * l[j] for j in range(3)) % p for i in range(3))
-            assert sum(a * b for a, b in zip(mx, ml)) % p == dot
+        moves = 0
+        while moves < 5:
+            m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+            c0, c1, c2 = zip(*m)
+            if sum(a * b for a, b in zip(c0, _cross(c1, c2))) % p == 0:
+                continue
+            moves += 1
+            assert {_move(c, m) for c in configs} == configs
 
 
 def test_budget_exceeded_carries_progress():
@@ -206,8 +227,6 @@ def test_budget_exceeded_carries_progress():
         enumerate_c_i(inc, 3, budget=25)
     assert info.value.nodes == 26
     assert info.value.partial_count >= 1
-    with pytest.raises(BudgetExceeded):
-        enumerate_c_i(inc, 3, mode="brute", budget=25)
 
 
 def test_worker_budget_error_keeps_its_counts():
@@ -244,8 +263,8 @@ def test_worker_budget_is_global_and_deterministic():
 
 def test_worker_partition_matches_serial():
     inc = incidence_data(2, 1, [(1, 1)])
-    serial = enumerate_c_i(inc, 2, mode="backtrack")
-    parallel = enumerate_c_i(inc, 2, mode="backtrack", workers=2)
+    serial = enumerate_c_i(inc, 2)
+    parallel = enumerate_c_i(inc, 2, workers=2)
     assert parallel == serial
 
 
@@ -257,7 +276,7 @@ def test_configuration_json_round_trip():
     assert config.lines[0] == (1, 0, 2)
     again = configuration_from_json(configuration_to_json(config))
     assert again == config
-    blob = dump_configuration(config)
+    blob = canonical_json(configuration_to_json(config))
     assert '"field":"Q"' in blob
 
     mod = make_configuration("Fp:5", [(3, 1, 0)], [(0, 2, 1)])

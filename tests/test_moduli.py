@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from toricbundles import canonical_json
 from toricbundles.chern import chars_for_flag
 from toricbundles.errors import InternalAudit, InvalidConditionSet
 from toricbundles.fans import make_fan
@@ -12,7 +13,7 @@ from toricbundles.moduli import (
     PairwiseViolation,
     audit_pairwise,
     conditions_from_json,
-    dump_conditions,
+    conditions_to_json,
     generate_conditions,
     make_condition_set,
     make_murphy_instance,
@@ -178,7 +179,7 @@ def test_conditions_json_round_trip():
     conds = generate_conditions(
         make_murphy_instance(incidence_data(2, 1, [(1, 1)]))
     )
-    data = json.loads(dump_conditions(conds))
+    data = json.loads(canonical_json(conditions_to_json(conds)))
     assert data["points"] == 2 and data["lines"] == 1
     loaded = conditions_from_json(data)
     assert loaded == conds

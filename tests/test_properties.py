@@ -5,6 +5,7 @@ are deterministic invariant checks rather than fuzzing.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,18 @@ from toricbundles.fields import (
     subspace_intersect,
     subspace_sum,
 )
-from toricbundles.incidence import count_c_i, enumerate_c_i, normalize_triple
+from toricbundles.incidence import (
+    DISTINCT,
+    ZERO_DOT,
+    _configurations,
+    _constraints_from_incidence,
+    _plane,
+    check_configuration,
+    count_c_i,
+    enumerate_c_i,
+    make_configuration,
+    normalize_triple,
+)
 from toricbundles.intlin import (
     mat_vec,
     primitive,
@@ -133,10 +145,34 @@ def test_normalize_triple_kills_scaling(v, c):
     ) == normalize_triple(v, QQ)
 
 
+def _brute(n_objects, constraints, on, size):
+    """Every assignment in lexicographic order, each checked in full."""
+    found = []
+    for combo in product(range(size), repeat=n_objects):
+        for a, b, kind in constraints:
+            va, vb = combo[a], combo[b]
+            if kind == DISTINCT:
+                ok = va != vb
+            else:
+                ok = (on[va] >> vb & 1) == (kind == ZERO_DOT)
+            if not ok:
+                break
+        else:
+            found.append(combo)
+    return found
+
+
+def brute_force(inc, p):
+    """The oracle: configurations realizing inc over F_p, by a full scan."""
+    universe, on = _plane(p)
+    found = _brute(inc.total, _constraints_from_incidence(inc), on, len(universe))
+    return _configurations(inc.points, found, p)
+
+
 @st.composite
-def incidence_cases(draw):
+def incidence_cases(draw, primes=(2, 3, 5)):
     """A prime and incidence data with d + d' <= 4 (brute force stays cheap)."""
-    p = draw(st.sampled_from((2, 3, 5)))
+    p = draw(st.sampled_from(primes))
     total = draw(st.integers(1, 4))
     d = draw(st.integers(0, total))
     cells = [(i, j) for i in range(1, d + 1) for j in range(1, total - d + 1)]
@@ -156,9 +192,26 @@ BLOCK = incidence_data(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
 @example((5, BLOCK))
 def test_forward_checking_matches_brute_force(case):
     p, inc = case
-    oracle = enumerate_c_i(inc, p, mode="brute")
+    oracle = brute_force(inc, p)
     assert enumerate_c_i(inc, p) == oracle
     assert enumerate_c_i(inc, p, workers=2) == oracle
     assert count_c_i(inc, p) == count_c_i(inc, p, workers=2) == len(oracle)
     if inc is BLOCK:
         assert oracle == []
+
+
+@FIXED
+@given(incidence_cases(primes=(2, 3)), st.data())
+def test_check_configuration_agrees_with_brute_force(case, data):
+    p, inc = case
+    oracle = brute_force(inc, p)
+    if oracle and data.draw(st.booleans()):
+        config = data.draw(st.sampled_from(oracle))
+    else:
+        vector = st.tuples(*[st.integers(0, p - 1)] * 3).filter(any)
+        config = make_configuration(
+            f"Fp:{p}",
+            data.draw(st.lists(vector, min_size=inc.points, max_size=inc.points)),
+            data.draw(st.lists(vector, min_size=inc.lines, max_size=inc.lines)),
+        )
+    assert check_configuration(config, inc) == (config in oracle)

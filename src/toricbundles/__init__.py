@@ -25,3 +25,35 @@ SCHEMA_VERSION = "1"
 def canonical_json(obj):
     """The one JSON text for obj: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def json_object(data, what, keys):
+    """Refuse data unless it is a JSON object holding every key.
+
+    The ValueError names the input (`what` JSON) and the problem in one
+    line, as do those of json_rows.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks the key {key!r}")
+
+
+def json_count(value, what, key):
+    """value, refused unless it is a nonnegative integer (bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} JSON: {key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} JSON: {key} must be nonnegative, got {value}")
+    return value
+
+
+def json_rows(rows, what, key, item):
+    """Refuse rows unless it is a list of lists of integers (no booleans)."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{what} JSON: {key} must be a list of lists")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"{what} JSON: a {item} must be an integer, got {x!r}")

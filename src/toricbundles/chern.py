@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import ClassVar
 
+from . import json_count, json_object, json_rows
 from .errors import (
     ConeNotInFan,
     DimensionMismatch,
@@ -32,7 +34,6 @@ from .murphy import (
     IncidenceData,
     MurphyFanHandle,
     cone_flag,
-    enumerate_flags,
     incidence_from_json,
     maximal_cone_rays,
     normalize_label,
@@ -43,19 +44,78 @@ from .murphy import (
 RANK = 3
 
 
-@dataclass(frozen=True)
-class ChernDatum:
-    """Explicit per-cone characters, or the incidence-driven rule.
+def _fan_of(target):
+    """The materialized fan of a fan or handle; None for a lazy handle."""
+    return target.fan if isinstance(target, MurphyFanHandle) else target
 
-    Explicit: cones maps tuple(sorted ray vectors) to a sorted character
-    tuple.  Rule-based: characters are solved on demand per flag.
+
+@dataclass(frozen=True)
+class ExplicitChern:
+    """Characters listed per maximal cone.
+
+    cones maps tuple(sorted ray vectors) to a sorted tuple of `rank`
+    characters.
     """
 
-    kind: str
     rank: int
-    cones: dict | None = None
-    incidence: IncidenceData | None = None
-    n: int | None = None
+    cones: dict
+
+    def chars_on(self, target, cone):
+        key = tuple(sorted(_fan_of(target).cone_vectors(cone)))
+        if key not in self.cones:
+            raise ConeNotInFan(f"no characters attached to cone {key}")
+        return self.cones[key]
+
+    def ray_chars(self, target, ray):
+        """The ray's vector and the characters of a maximal cone holding it."""
+        if target is None:
+            raise ValueError("an explicit character datum needs a fan")
+        fan = _fan_of(target)
+        index = fan.ray_index(ray)
+        cone = next(c for c in fan.max_cones if index in c)
+        return fan.rays[index], self.chars_on(fan, cone)
+
+    def to_json(self):
+        return {
+            "rank": self.rank,
+            "cones": [
+                {"rays": [list(r) for r in key], "chars": [list(u) for u in chars]}
+                for key, chars in sorted(self.cones.items())
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class MurphyChern:
+    """The incidence-driven rule on the blown-up fan of dimension n.
+
+    Characters are solved on demand per flag (chars_for_flag).
+    """
+
+    incidence: IncidenceData
+    rank: ClassVar[int] = RANK
+
+    @property
+    def n(self):
+        return self.incidence.total - 1
+
+    def chars_on(self, handle, cone):
+        return chars_for_flag(self, *cone_flag(handle, cone))
+
+    def ray_chars(self, target, ray):
+        """The ray's vector and the characters of a flag cone holding it.
+
+        The ray is a label or a vector; the fan is never consulted.
+        """
+        n = self.n
+        label = _label_of_vector(n, ray) if isinstance(ray, (tuple, list)) else ray
+        label = normalize_label(n, label)
+        return ray_vector(n, label), chars_for_flag(
+            self, *_flag_through_label(n, label)
+        )
+
+    def to_json(self):
+        return {"rule": "murphy", "incidence": self.incidence.to_json()}
 
 
 def explicit_chern(rank, cone_chars):
@@ -67,16 +127,12 @@ def explicit_chern(rank, cone_chars):
         if len(value) != rank:
             raise ValueError(f"expected {rank} characters on {key}")
         cones[key] = value
-    return ChernDatum(kind="explicit", rank=rank, cones=cones)
+    return ExplicitChern(rank=rank, cones=cones)
 
 
 def trivial_chern(fan, rank=RANK):
-    zero = tuple([tuple([0] * fan.dim)] * rank)
-    return ChernDatum(
-        kind="explicit",
-        rank=rank,
-        cones={tuple(sorted(fan.cone_vectors(c))): zero for c in fan.max_cones},
-    )
+    zero = [[0] * fan.dim] * rank
+    return explicit_chern(rank, {fan.cone_vectors(c): zero for c in fan.max_cones})
 
 
 def value_pair_table(incidence, a, b):
@@ -106,13 +162,11 @@ def murphy_chern(incidence, handle):
         raise DimensionMismatch(
             "the character rule needs a pair of original rays per cone"
         )
-    return ChernDatum(kind="murphy", rank=RANK, incidence=incidence, n=n)
+    return MurphyChern(incidence=incidence)
 
 
 def chars_for_flag(datum, pair, chain):
     """Sorted characters of the rule-based datum on a flag cone."""
-    if datum.kind != "murphy":
-        raise ValueError("flag characters only exist for rule-based data")
     n = datum.n
     (a, b), chain = validate_flag(n, pair, chain)
     rows = [list(ray_vector(n, lab)) for lab in (a, b, *chain)]
@@ -134,16 +188,11 @@ def chars_for_flag(datum, pair, chain):
 
 
 def chars_on_cone(datum, fan_or_handle, cone):
-    """Characters on a maximal cone, given by its ray index tuple."""
-    if datum.kind == "murphy":
-        handle = fan_or_handle
-        pair, chain = cone_flag(handle, cone)
-        return chars_for_flag(datum, pair, chain)
-    fan = fan_or_handle.fan if isinstance(fan_or_handle, MurphyFanHandle) else fan_or_handle
-    key = tuple(sorted(fan.cone_vectors(cone)))
-    if key not in datum.cones:
-        raise ConeNotInFan(f"no characters attached to cone {key}")
-    return datum.cones[key]
+    """Characters on a maximal cone, given by its ray index tuple.
+
+    The rule-based datum needs the handle, which names cones by flags.
+    """
+    return datum.chars_on(fan_or_handle, cone)
 
 
 @dataclass(frozen=True)
@@ -197,85 +246,57 @@ def _face_positions(k):
     )
 
 
-def _face_disagreement(fan, restrict):
-    """Indices (i, j) of two maximal cones holding a common face F with
-    restrict(i, F) != restrict(j, F), or None when there are none.
-
-    Faces are sorted ray index tuples.  Every cone holding F is compared
-    with the first cone holding F, so each cone is restricted once to
-    each face it shares: N (2^n - 2) restrictions on a complete
-    simplicial fan, where all pairs of cones would take N^2 / 2.
-    """
-    reference = {}
-    for j, cone in enumerate(fan.max_cones):
-        for positions in _face_positions(len(cone)):
-            face = tuple(cone[t] for t in positions)
-            first = reference.setdefault(face, [j, None])
-            if first[0] != j:
-                if first[1] is None:
-                    first[1] = restrict(first[0], face)
-                if restrict(j, face) != first[1]:
-                    return first[0], j
-    return None
-
-
-def validate_chern(target, datum, samples=1000, seed=20260815, pairs=None):
+def validate_chern(target, datum, samples=1000):
     """None if restriction-compatible, else a ChernViolation.
 
     On a materialized fan every two maximal cones must induce the same
     multiset on their whole intersection.  That holds exactly when all
     cones holding a face agree on it, so each cone's values u.r (u its
     characters, r its rays) are computed once and projected to each of
-    its shared faces (see _face_disagreement).  A disagreement is
-    reported for its two cones on their full intersection, where their
-    multisets differ as well.  A lazy handle is checked on `samples`
-    random adjacent flag pairs (or on the caller's explicit flag pairs).
+    its faces, and every cone holding a face is compared with the first
+    one: N (2^n - 1) projections on a complete simplicial fan, where all
+    pairs of cones would take N^2 / 2.  A disagreement is reported for
+    its two cones on their full intersection, where their multisets
+    differ as well.  A lazy handle (rule-based data only) is checked on
+    `samples` random flags, each against its neighbour across a random
+    facet.
     """
-    handle = target if isinstance(target, MurphyFanHandle) else None
-    fan = handle.fan if handle is not None else target
-    if fan is not None and pairs is None:
+    fan = _fan_of(target)
+    if fan is not None:
         cones = fan.max_cones
-        chars = [chars_on_cone(datum, target, c) for c in cones]
+        chars = [datum.chars_on(target, c) for c in cones]
         # values[j][r]: the characters of cone j evaluated on its ray r
         values = [
             {r: tuple(sum(c * x for c, x in zip(u, fan.rays[r])) for u in us)
              for r in cone}
             for cone, us in zip(cones, chars)
         ]
-        pair = _face_disagreement(
-            fan,
-            lambda j, face: sorted(zip(*(values[j][r] for r in face))),
-        )
-        if pair is None:
-            return None
-        i, j = pair
-        rays = [fan.rays[t] for t in sorted(set(cones[i]) & set(cones[j]))]
-        return ChernViolation(
-            cone_a=cones[i],
-            cone_b=cones[j],
-            shared=tuple(rays),
-            values_a=_restriction(chars[i], rays),
-            values_b=_restriction(chars[j], rays),
-        )
-    if datum.kind != "murphy":
-        raise ValueError("lazy validation needs the rule-based datum")
+        first = {}  # face -> (first cone holding it, its multiset there)
+        for j, cone in enumerate(cones):
+            for positions in _face_positions(len(cone)):
+                face = tuple(cone[t] for t in positions)
+                multiset = sorted(zip(*(values[j][r] for r in face)))
+                i, expected = first.setdefault(face, (j, multiset))
+                if multiset != expected:
+                    rays = [fan.rays[t] for t in sorted(set(cones[i]) & set(cone))]
+                    return ChernViolation(
+                        cone_a=cones[i],
+                        cone_b=cone,
+                        shared=tuple(rays),
+                        values_a=_restriction(chars[i], rays),
+                        values_b=_restriction(chars[j], rays),
+                    )
+        return None
     n = datum.n
-    if pairs is None:
-        rng = random.Random(seed)
-        pairs = []
-        for _ in range(samples):
-            flag = _random_flag(n, rng)
-            pairs.append((flag, _neighbor_flag(n, *flag, rng.randrange(n))))
-    for flag_a, flag_b in pairs:
-        rays_a = maximal_cone_rays(
-            handle or MurphyFanHandle(n=n, materialized=False), *flag_a
+    rng = random.Random(20260815)
+    for _ in range(samples):
+        flag_a = _random_flag(n, rng)
+        flag_b = _neighbor_flag(n, *flag_a, rng.randrange(n))
+        # neighbours across a facet share its n - 1 rays
+        shared = sorted(
+            set(maximal_cone_rays(target, *flag_a))
+            & set(maximal_cone_rays(target, *flag_b))
         )
-        rays_b = maximal_cone_rays(
-            handle or MurphyFanHandle(n=n, materialized=False), *flag_b
-        )
-        shared = sorted(set(rays_a) & set(rays_b))
-        if not shared:
-            continue
         va = _restriction(chars_for_flag(datum, *flag_a), shared)
         vb = _restriction(chars_for_flag(datum, *flag_b), shared)
         if va != vb:
@@ -337,23 +358,11 @@ def filtration_signature(datum, target, ray):
     """Jump positions and dimensions of the filtration a datum forces.
 
     Returns the list of (jump, dimension from that jump on); the full
-    space is implicit below the first listed jump.
+    space is implicit below the first listed jump.  Rule-based data read
+    the ray as a label or a vector and ignore target; explicit data need
+    the fan.
     """
-    if datum.kind == "murphy":
-        n = datum.n
-        if isinstance(ray, (tuple, list)):
-            label = _label_of_vector(n, ray)
-        else:
-            label = ray
-        label = normalize_label(n, label)
-        vector = ray_vector(n, label)
-        chars = chars_for_flag(datum, *_flag_through_label(n, label))
-    else:
-        fan = target.fan if isinstance(target, MurphyFanHandle) else target
-        index = fan.ray_index(ray)
-        vector = fan.rays[index]
-        cone = next(c for c in fan.max_cones if index in c)
-        chars = chars_on_cone(datum, fan, cone)
+    vector, chars = datum.ray_chars(target, ray)
     values = sorted(sum(c * x for c, x in zip(u, vector)) for u in chars)
     signature = []
     for v in sorted(set(values)):
@@ -362,28 +371,37 @@ def filtration_signature(datum, target, ray):
     return signature
 
 
-def chern_to_json(datum):
-    if datum.kind == "murphy":
-        return {"rule": "murphy", "incidence": datum.incidence.to_json()}
-    return {
-        "rank": datum.rank,
-        "cones": [
-            {"rays": [list(r) for r in key], "chars": [list(u) for u in chars]}
-            for key, chars in sorted(datum.cones.items())
-        ],
-    }
-
-
 def chern_from_json(data):
-    if data.get("rule") == "murphy":
+    """Datum from {"rule": "murphy", "incidence": {...}} or from
+    {"rank": r, "cones": [{"rays": [[...], ...], "chars": [[...], ...]}]}.
+
+    Raises ValueError with a one-line reason on anything else: a missing
+    key, an unknown rule, a rank, ray coordinate or character coordinate
+    that is not an integer (booleans included), or a cone entry that is
+    not an object with rays and chars.
+    """
+    json_object(data, "character datum", ())
+    if "rule" in data:
+        if data["rule"] != "murphy":
+            raise ValueError(f"character datum JSON: unknown rule {data['rule']!r}")
+        json_object(data, "character datum", ("incidence",))
         incidence = incidence_from_json(data["incidence"])
         handle = MurphyFanHandle(n=incidence.total - 1, materialized=False)
         return murphy_chern(incidence, handle)
-    cone_chars = {
-        tuple(tuple(r) for r in entry["rays"]): entry["chars"]
-        for entry in data["cones"]
-    }
-    return explicit_chern(int(data["rank"]), cone_chars)
+    json_object(data, "character datum", ("rank", "cones"))
+    rank = json_count(data["rank"], "character datum", "rank")
+    entries = data["cones"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "rays" in e and "chars" in e for e in entries
+    ):
+        raise ValueError(
+            "character datum JSON: cones must be a list of objects with rays and chars"
+        )
+    for entry in entries:
+        json_rows(entry["rays"], "character datum", "rays", "ray coordinate")
+        json_rows(entry["chars"], "character datum", "chars", "character coordinate")
+    cone_chars = {tuple(tuple(r) for r in e["rays"]): e["chars"] for e in entries}
+    return explicit_chern(rank, cone_chars)
 
 
 def _poly_add(p, q):
@@ -425,32 +443,6 @@ def _elementary_symmetric(chars, i, nvars):
     return total
 
 
-def _canonical_poly(p):
-    return tuple(sorted(p.items()))
-
-
-def _poly_substitute(p, vectors, nparams):
-    """p after the substitution x = sum_k t_k * vectors[k]."""
-    forms = []
-    nvars = len(vectors[0]) if vectors else 0
-    for j in range(nvars):
-        forms.append(
-            {
-                tuple(1 if t == k else 0 for t in range(nparams)): vectors[k][j]
-                for k in range(nparams)
-                if vectors[k][j] != 0
-            }
-        )
-    out = {}
-    for exps, coeff in p.items():
-        term = {tuple([0] * nparams): coeff}
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                term = _poly_mul(term, forms[j])
-        out = _poly_add(out, term)
-    return out
-
-
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """One integer polynomial per maximal cone, agreeing on shared faces.
@@ -466,40 +458,28 @@ class PiecewisePolynomial:
 def chern_polynomial(datum, target, i):
     """The i-th elementary symmetric class as a piecewise polynomial.
 
-    The datum must pass validate_chern.  As an audit of the polynomial
-    arithmetic, the polynomials of all cones holding a face must then
-    restrict to the same polynomial on it; each cone's polynomial is
-    substituted once per shared face (see _face_disagreement).
+    The datum must pass validate_chern.  Each cone's characters are
+    computed once and validated as an explicit datum.  No check of the
+    polynomials follows: restricting e_i of a cone's characters to a
+    face gives e_i of the restricted characters, so cones that agree on
+    a face as multisets agree there as polynomials.
     """
     if not 1 <= i <= datum.rank:
         raise ValueError(f"index {i} outside 1..{datum.rank}")
-    handle = target if isinstance(target, MurphyFanHandle) else None
-    fan = handle.fan if handle is not None else target
+    fan = _fan_of(target)
     if fan is None:
         raise MaterializationTooLarge(
             "piecewise polynomials need a materialized fan"
         )
-    violation = validate_chern(target, datum)
+    chars = [datum.chars_on(target, c) for c in fan.max_cones]
+    table = dict(zip(map(fan.cone_vectors, fan.max_cones), chars))
+    violation = validate_chern(fan, explicit_chern(datum.rank, table))
     if violation is not None:
         raise InternalAudit(f"datum is not restriction-compatible: {violation}")
-    source = handle if handle is not None else fan
-    polys = []
-    per_cone = []
-    for cone in fan.max_cones:
-        chars = chars_on_cone(datum, source, cone)
-        p = _elementary_symmetric(chars, i, fan.dim)
-        per_cone.append(p)
-        polys.append(_canonical_poly(p))
-    mismatch = _face_disagreement(
-        fan,
-        lambda j, face: _poly_substitute(
-            per_cone[j], [fan.rays[t] for t in face], len(face)
-        ),
+    polys = tuple(
+        tuple(sorted(_elementary_symmetric(u, i, fan.dim).items())) for u in chars
     )
-    if mismatch is not None:
-        a, b = mismatch
-        raise InternalAudit(f"face disagreement between cones {a} and {b}")
-    return PiecewisePolynomial(nvars=fan.dim, degree=i, polys=tuple(polys))
+    return PiecewisePolynomial(nvars=fan.dim, degree=i, polys=polys)
 
 
 def evaluate_polynomial(poly, point):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import SCHEMA_VERSION, canonical_json
 from .chern import (
     chern_from_json,
-    chern_to_json,
     filtration_signature,
     murphy_chern,
 )
@@ -34,7 +33,6 @@ from .fans import (
     fan_to_json,
     is_complete,
     is_smooth,
-    make_fan,
     star_subdivide,
     validate_fan,
 )
@@ -92,7 +90,8 @@ def _format_value(x):
 
 
 def cmd_fan_build(args):
-    fan = make_fan(args.dim, _json_arg(args.rays), _json_arg(args.cones))
+    fan = fan_from_json({"dim": args.dim, "rays": _json_arg(args.rays),
+                         "max_cones": _json_arg(args.cones)})
     _emit(fan_to_json(fan))
     _say(f"fan in dimension {fan.dim}: {len(fan.rays)} rays, "
          f"{len(fan.max_cones)} maximal cones")
@@ -154,7 +153,7 @@ def cmd_murphy_chern(args):
     incidence = incidence_from_json(_load_json(args.incidence))
     handle = build_murphy_fan(incidence.total - 1, materialize=False)
     datum = murphy_chern(incidence, handle)
-    _emit(chern_to_json(datum))
+    _emit(datum.to_json())
     _say(f"rank-3 character datum on the Murphy fan for n={handle.n}")
     return 0
 
@@ -291,12 +290,7 @@ def cmd_bundle_signature(args):
     ray = _json_arg(args.ray)
     if isinstance(ray, list):
         ray = tuple(ray)
-    if datum.kind == "murphy":
-        target = build_murphy_fan(datum.incidence.total - 1, materialize=False)
-    else:
-        if not args.fan:
-            raise ValueError("--fan is required for an explicit character datum")
-        target = fan_from_json(_load_json(args.fan))
+    target = fan_from_json(_load_json(args.fan)) if args.fan else None
     signature = filtration_signature(datum, target, ray)
     _emit({"signature": [[jump, dim] for jump, dim in signature]})
     _say("signature " + ", ".join(f"dim {d} from jump {j}" for j, d in signature))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from . import json_object, json_rows
 from .errors import (
     ConeNotInFan,
     NonSmoothCone,
@@ -296,16 +296,6 @@ def is_complete(fan):
     return len(seen) == len(cones)
 
 
-def orbit_closure_dim(fan, cone):
-    """Dimension of the torus-orbit closure for a cone of the fan."""
-    if isinstance(cone, Cone) and not cone.generators:
-        return fan.dim
-    if not isinstance(cone, Cone) and not tuple(cone):
-        return fan.dim
-    indices = resolve_cone(fan, cone)
-    return fan.dim - rank([list(fan.rays[i]) for i in indices])
-
-
 def cone_containing_point(fan, point):
     """Index of some maximal cone containing the rational point, or None.
 
@@ -324,22 +314,6 @@ def cone_containing_point(fan, point):
     return None
 
 
-@lru_cache(maxsize=32)
-def _face_lattice_cached(fan):
-    faces = set()
-    for c in fan.max_cones:
-        s = tuple(sorted(c))
-        k = len(s)
-        for mask in range(1 << k):
-            faces.add(frozenset(s[i] for i in range(k) if mask >> i & 1))
-    return faces
-
-
-def face_lattice(fan):
-    """All faces of the fan as frozensets of ray indices (memoized)."""
-    return _face_lattice_cached(fan)
-
-
 def fan_to_json(fan):
     return {
         "dim": fan.dim,
@@ -355,22 +329,12 @@ def fan_from_json(data):
     key, the lazy cone list, or a dimension, ray coordinate or cone index
     that is not an integer (booleans included).
     """
-    if not isinstance(data, dict):
-        raise ValueError("fan JSON must be an object")
-    for key in ("dim", "rays", "max_cones"):
-        if key not in data:
-            raise ValueError(f"fan JSON lacks the key {key!r}")
+    json_object(data, "fan", ("dim", "rays", "max_cones"))
     if data["max_cones"] == "lazy":
         raise ValueError("lazy fan JSON carries no cone list to load")
     dim = data["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError(f"fan JSON: dim must be a nonnegative integer, got {dim!r}")
-    for key, what in (("rays", "ray coordinate"), ("max_cones", "cone index")):
-        rows = data[key]
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError(f"fan JSON: {key} must be a list of lists")
-        for row in rows:
-            for x in row:
-                if type(x) is not int:
-                    raise ValueError(f"fan JSON: a {what} must be an integer, got {x!r}")
+    json_rows(data["rays"], "fan", "rays", "ray coordinate")
+    json_rows(data["max_cones"], "fan", "max_cones", "cone index")
     return make_fan(dim, data["rays"], data["max_cones"])

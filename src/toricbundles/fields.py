@@ -50,10 +50,6 @@ class RationalField:
     def format(a):
         return str(a)
 
-    @staticmethod
-    def parse(s):
-        return Fraction(s)
-
     def __repr__(self):
         return "QQ"
 
@@ -115,9 +111,6 @@ class PrimeField:
     @staticmethod
     def format(a):
         return int(a)
-
-    def parse(self, s):
-        return int(s) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from . import json_object
 from .errors import BudgetExceeded
 from .fields import PrimeField, field_from_tag
 from .moduli import generate_conditions, make_murphy_instance
@@ -84,11 +85,7 @@ def configuration_from_json(data):
     key, a vector list that is not a list of lists, or a vector that
     normalize_triple refuses.
     """
-    if not isinstance(data, dict):
-        raise ValueError("configuration JSON must be an object")
-    for key in ("field", "points", "lines"):
-        if key not in data:
-            raise ValueError(f"configuration JSON lacks the key {key!r}")
+    json_object(data, "configuration", ("field", "points", "lines"))
     for key in ("points", "lines"):
         vectors = data[key]
         if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):

@@ -51,10 +51,6 @@ def mat_vec(a, x):
     return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def det(a) -> int:
     """Determinant of a square integer matrix (Bareiss, exact)."""
     n = len(a)
@@ -146,22 +142,6 @@ def solve_rational(a, b):
     for row, col in zip(rows, pivots):
         x[col] = row[-1]
     return x
-
-
-def rational_kernel(a):
-    """Basis of the rational right kernel of an integer matrix."""
-    ncols = len(a[0]) if a else 0
-    rows, pivots = _rref_aug(a, [0] * len(a))
-    rows = rows[: len(pivots)]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            v[col] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def smith_decomposition(a):

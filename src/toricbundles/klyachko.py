@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .errors import InternalAudit, NonSmoothCone, RayNotInFan
+from . import json_count, json_object
+from .errors import InternalAudit, NonSmoothCone, RayNotInFan, ToricError
 from .fields import field_from_tag, rref, span_contains, subspace_intersect
 from .intlin import solve_integer_linear
-from .murphy import all_labels, normalize_label, ray_vector
+from .murphy import all_labels, ray_vector
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,48 @@ def filtration_to_json(filt):
 
 
 def filtration_from_json(data):
-    fld = field_from_tag(data["field"])
+    """Filtration from {"rank": r, "field": tag, "rays": {"a,b,...": steps}},
+    each step {"jump": j, "basis": rows of field elements}.
+
+    Raises ValueError with a one-line reason on anything else: a missing
+    key, a rank or jump that is not an integer (booleans included), a
+    ray key that is not comma-joined integers, a step that is not an
+    object with jump and basis, or a basis entry that is neither an
+    integer nor a string.
+    """
+    json_object(data, "filtration", ("rank", "field", "rays"))
+    rank = json_count(data["rank"], "filtration", "rank")
+    if not isinstance(data["rays"], dict):
+        raise ValueError("filtration JSON: rays must be an object keyed by ray")
     ray_steps = {}
     for ray_id, steps in data["rays"].items():
-        ray_steps[_parse_ray_id(ray_id)] = [
-            (s["jump"], [[fld.parse(x) for x in row] for row in s["basis"]])
-            for s in steps
-        ]
-    return make_filtration(int(data["rank"]), fld, ray_steps)
+        try:
+            ray = _parse_ray_id(ray_id)
+        except ValueError:
+            raise ValueError(
+                f"filtration JSON: ray key {ray_id!r} is not comma-joined integers"
+            ) from None
+        if not isinstance(steps, list) or not all(
+            isinstance(s, dict) and "jump" in s and "basis" in s for s in steps
+        ):
+            raise ValueError(f"filtration JSON: the steps of ray {ray_id} must be "
+                             "a list of objects with jump and basis")
+        ray_steps[ray] = [(s["jump"], s["basis"]) for s in steps]
+        for jump, basis in ray_steps[ray]:
+            if type(jump) is not int:
+                raise ValueError(
+                    f"filtration JSON: a jump must be an integer, got {jump!r}"
+                )
+            if not isinstance(basis, list) or not all(
+                isinstance(row, list) and all(type(x) in (int, str) for x in row)
+                for row in basis
+            ):
+                raise ValueError("filtration JSON: a basis must be rows of integers "
+                                 f"or strings, got {basis!r}")
+    try:
+        return make_filtration(rank, field_from_tag(data["field"]), ray_steps)
+    except (ToricError, ValueError) as exc:
+        raise ValueError(f"filtration JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial
 
+from . import json_count, json_object
 from .errors import (
     InternalAudit,
     InvalidFlag,
     InvalidLabel,
     MaterializationTooLarge,
 )
-from .fans import Fan, fan_to_json, make_fan, projective_fan, star_subdivide
+from .fans import Fan, fan_to_json, projective_fan, star_subdivide
 
 MATERIALIZE_LIMIT = 6
 
@@ -79,15 +80,6 @@ def incidence_data(points, lines, pairs):
     ))
 
 
-def _json_count(value, what):
-    # bool is an int subclass; JSON true/false is never a count or index
-    if type(value) is not int:
-        raise ValueError(f"incidence JSON: {what} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"incidence JSON: {what} must be nonnegative, got {value}")
-    return value
-
-
 def incidence_from_json(data):
     """IncidenceData from {"points": d, "lines": d', "incidences": pairs}.
 
@@ -95,13 +87,9 @@ def incidence_from_json(data):
     key, a count or index that is not a nonnegative integer (booleans
     included), a pair that is not two integers, or a repeated pair.
     """
-    if not isinstance(data, dict):
-        raise ValueError("incidence JSON must be an object")
-    for key in ("points", "lines", "incidences"):
-        if key not in data:
-            raise ValueError(f"incidence JSON lacks the key {key!r}")
-    points = _json_count(data["points"], "points")
-    lines = _json_count(data["lines"], "lines")
+    json_object(data, "incidence", ("points", "lines", "incidences"))
+    points = json_count(data["points"], "incidence", "points")
+    lines = json_count(data["lines"], "incidence", "lines")
     if not isinstance(data["incidences"], list):
         raise ValueError("incidence JSON: incidences must be a list of pairs")
     pairs = set()
@@ -110,7 +98,7 @@ def incidence_from_json(data):
             raise ValueError(
                 f"incidence JSON: {pair!r} is not a pair of two integers"
             )
-        i, j = (_json_count(x, "a pair entry") for x in pair)
+        i, j = (json_count(x, "incidence", "a pair entry") for x in pair)
         if (i, j) in pairs:
             raise ValueError(f"incidence JSON: pair {[i, j]} is repeated")
         pairs.add((i, j))

@@ -407,3 +407,118 @@ def test_malformed_fan_json_exits_2(tmp_path, capsys, data, reason):
         assert err.startswith("error: ")
         assert reason in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rays, cones, reason", [
+    ("[[true,0],[0,1],[-1,-1]]", "[[0,1],[1,2],[0,2]]",
+     "a ray coordinate must be an integer, got True"),
+    ('[["1",0],[0,1],[-1,-1]]', "[[0,1],[1,2],[0,2]]",
+     "a ray coordinate must be an integer, got '1'"),
+    ("[[1,0],[0,1],[-1,-1]]", "[[0,1.5],[1,2],[0,2]]",
+     "a cone index must be an integer, got 1.5"),
+    ("[[1,0],[0,1],[-1,-1]]", "[[0,3],[1,2],[0,2]]", "cone references a missing ray"),
+    ("[1,2]", "[[0,1]]", "rays must be a list of lists"),
+])
+def test_fan_build_malformed_exits_2(capsys, rays, cones, reason):
+    code, out, err = run(capsys, ["fan", "build", "--dim", "2",
+                                  "--rays", rays, "--cones", cones])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
+def test_bundle_signature_explicit(tmp_path, capsys):
+    p2 = write(tmp_path, "p2.json", fan_to_json(projective_fan(2)))
+    chern = write(tmp_path, "chern.json", {"rank": 2, "cones": [
+        {"rays": [[1, 0], [0, 1]], "chars": [[1, 0], [0, 1]]},
+        {"rays": [[0, 1], [-1, -1]], "chars": [[-1, 0], [-1, 1]]},
+        {"rays": [[1, 0], [-1, -1]], "chars": [[1, -1], [0, -1]]},
+    ]})
+    code, out, _ = run(capsys, ["bundle", "signature", "--chern", chern,
+                                "--fan", p2, "--ray", "[1,0]"])
+    assert code == 0
+    assert json.loads(out) == {"signature": [[1, 1], [2, 0]]}
+    code, out, err = run(capsys, ["bundle", "signature", "--chern", chern,
+                                  "--ray", "[1,0]"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: an explicit character datum needs a fan\n"
+
+
+CONE = {"rays": [[1, 0], [0, 1]], "chars": [[0, 0]]}
+
+
+@pytest.mark.parametrize("data, reason", [
+    ([1], "character datum JSON must be an object"),
+    ({"rule": "murphy"}, "character datum JSON lacks the key 'incidence'"),
+    ({"rule": "other", "incidence": PAIR}, "unknown rule 'other'"),
+    ({"rule": "murphy", "incidence": [1]}, "incidence JSON must be an object"),
+    ({"cones": [CONE]}, "lacks the key 'rank'"),
+    ({"rank": 1}, "lacks the key 'cones'"),
+    ({"rank": True, "cones": [CONE]}, "rank must be an integer, got True"),
+    ({"rank": 1.0, "cones": [CONE]}, "rank must be an integer, got 1.0"),
+    ({"rank": -1, "cones": [CONE]}, "rank must be nonnegative, got -1"),
+    ({"rank": 1, "cones": [[1, 0]]},
+     "cones must be a list of objects with rays and chars"),
+    ({"rank": 1, "cones": [{"rays": [[1, 0]]}]},
+     "cones must be a list of objects with rays and chars"),
+    ({"rank": 1, "cones": [dict(CONE, rays=[[True, 0], [0, 1]])]},
+     "a ray coordinate must be an integer, got True"),
+    ({"rank": 1, "cones": [dict(CONE, rays=[1, 0])]}, "rays must be a list of lists"),
+    ({"rank": 1, "cones": [dict(CONE, chars=[[0.5, 0]])]},
+     "a character coordinate must be an integer, got 0.5"),
+    ({"rank": 2, "cones": [CONE]}, "expected 2 characters"),
+])
+def test_malformed_chern_json_exits_2(tmp_path, capsys, data, reason):
+    path = write(tmp_path, "bad.json", data)
+    p2 = write(tmp_path, "p2.json", fan_to_json(projective_fan(2)))
+    for extra in ([], ["--fan", p2]):
+        code, out, err = run(capsys, ["bundle", "signature", "--chern", path,
+                                      "--ray", "1", *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert reason in err
+        assert err.count("\n") == 1
+
+
+STEP = {"jump": 1, "basis": []}
+FILT = {"rank": 1, "field": "Q", "rays": {"1,0": [STEP]}}
+
+
+@pytest.mark.parametrize("data, reason", [
+    ([1], "filtration JSON must be an object"),
+    ({"field": "Q", "rays": {}}, "filtration JSON lacks the key 'rank'"),
+    ({"rank": 1, "rays": {}}, "filtration JSON lacks the key 'field'"),
+    ({"rank": 1, "field": "Q"}, "filtration JSON lacks the key 'rays'"),
+    (dict(FILT, rank=True), "rank must be an integer, got True"),
+    (dict(FILT, rank="1"), "rank must be an integer, got '1'"),
+    (dict(FILT, rays=[["1,0", [STEP]]]), "rays must be an object keyed by ray"),
+    (dict(FILT, rays={"1,x": [STEP]}), "ray key '1,x' is not comma-joined integers"),
+    (dict(FILT, rays={"1,0": STEP}), "must be a list of objects with jump and basis"),
+    (dict(FILT, rays={"1,0": [{"jump": 1}]}),
+     "must be a list of objects with jump and basis"),
+    (dict(FILT, rays={"1,0": [{"jump": True, "basis": []}]}),
+     "a jump must be an integer, got True"),
+    (dict(FILT, rays={"1,0": [{"jump": 1.5, "basis": []}]}),
+     "a jump must be an integer, got 1.5"),
+    (dict(FILT, rays={"1,0": [{"jump": 0, "basis": [[True]]}, STEP]}),
+     "a basis must be rows of integers or strings, got [[True]]"),
+    (dict(FILT, rays={"1,0": [{"jump": 0, "basis": [1]}, STEP]}),
+     "a basis must be rows of integers or strings, got [1]"),
+    (dict(FILT, rays={"1,0": [{"jump": 0, "basis": [[1, 0]]}, STEP]}),
+     "filtration JSON: basis vector of wrong length"),
+    (dict(FILT, field="R"), "unknown field tag 'R'"),
+])
+def test_malformed_filtration_json_exits_2(tmp_path, capsys, data, reason):
+    p2 = write(tmp_path, "p2.json", fan_to_json(projective_fan(2)))
+    path = write(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, ["bundle", "check-compat", "--fan", p2,
+                                  "--filtration", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: filtration JSON")
+    assert reason in err
+    assert err.count("\n") == 1

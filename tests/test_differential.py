@@ -2,7 +2,8 @@
 
 Each oracle below is the earlier, slower formulation: fm_feasible with
 its equalities substituted over Fraction, and all-pairs comparison of
-maximal cones for the fan, Chern datum and polynomial audits.
+maximal cones for the fan and Chern datum checks and for the agreement
+of Chern polynomials on shared faces.
 derandomize=True fixes the example stream.
 """
 
@@ -10,18 +11,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricbundles.chern import (
-    _elementary_symmetric,
-    _face_disagreement,
-    _poly_substitute,
     _restriction,
     chars_on_cone,
+    chern_polynomial,
     explicit_chern,
     murphy_chern,
     validate_chern,
 )
+from toricbundles.errors import InternalAudit
 from toricbundles.fans import (
     Fan,
     projective_fan,
@@ -244,7 +245,7 @@ def test_validate_fan_matches_all_pairs_oracle(fan):
     assert code == _oracle_validate_fan(fan)
 
 
-# --- Chern datum and polynomial audits, all pairs ----------------------
+# --- Chern datum and polynomials, all pairs -----------------------------
 
 
 def _oracle_chern_pairs(fan, chars):
@@ -258,27 +259,27 @@ def _oracle_chern_pairs(fan, chars):
     return bad
 
 
-def _murphy_cone_chars(n, points, pairs):
-    data = incidence_data(points, n + 1 - points, pairs)
-    handle = build_murphy_fan(n)
-    datum = murphy_chern(data, handle)
-    fan = handle.fan
-    return fan, [list(chars_on_cone(datum, handle, c)) for c in fan.max_cones]
-
-
 @st.composite
-def corrupted_data(draw):
+def rule_data(draw):
     n = draw(st.integers(2, 4))
     points = draw(st.integers(0, n + 1))
     lines = n + 1 - points
     pairs = draw(st.sets(st.tuples(st.integers(1, points), st.integers(1, lines)))
                  if points and lines else st.just(set()))
-    fan, chars = _murphy_cone_chars(n, points, pairs)
+    handle = build_murphy_fan(n)
+    return handle, murphy_chern(incidence_data(points, lines, pairs), handle)
+
+
+@st.composite
+def corrupted_data(draw):
+    handle, datum = draw(rule_data())
+    fan = handle.fan
+    chars = [list(chars_on_cone(datum, handle, c)) for c in fan.max_cones]
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(chars) - 1))
         m = draw(st.integers(0, 2))
         u = list(chars[k][m])
-        u[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+        u[draw(st.integers(0, fan.dim - 1))] += draw(st.sampled_from([-1, 1]))
         chars[k][m] = tuple(u)
     return fan, chars
 
@@ -337,17 +338,16 @@ def _oracle_poly_pairs(fan, polys):
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(corrupted_data(), st.integers(1, 3))
-def test_polynomial_face_audit_matches_all_pairs(case, degree):
+@given(rule_data(), corrupted_data(), st.integers(1, 3))
+def test_chern_polynomial_agrees_on_faces_like_oracle(rule, case, degree):
+    handle, datum = rule
+    polys = chern_polynomial(datum, handle, degree).polys
+    assert not _oracle_poly_pairs(handle.fan, [dict(p) for p in polys])
     fan, chars = case
-    polys = [_elementary_symmetric(u, degree, fan.dim) for u in chars]
-    mismatch = _face_disagreement(
-        fan,
-        lambda j, face: _poly_substitute(
-            polys[j], [fan.rays[t] for t in face], len(face)
-        ),
-    )
-    bad = _oracle_poly_pairs(fan, polys)
-    assert (mismatch is None) == (not bad)
-    if mismatch is not None:
-        assert mismatch in bad
+    explicit = _explicit(fan, chars)
+    if _oracle_chern_pairs(fan, chars):
+        with pytest.raises(InternalAudit):
+            chern_polynomial(explicit, fan, degree)
+    else:
+        polys = chern_polynomial(explicit, fan, degree).polys
+        assert not _oracle_poly_pairs(fan, [dict(p) for p in polys])

@@ -7,18 +7,15 @@ import pytest
 from toricbundles import canonical_json
 from toricbundles.errors import ConeNotInFan, NonSmoothCone, NotStronglyConvex
 from toricbundles.fans import (
-    Cone,
     cone_contains,
     cone_containing_point,
     cone_in_fan,
-    face_lattice,
     fan_from_json,
     fan_to_json,
     is_complete,
     is_smooth,
     make_cone,
     make_fan,
-    orbit_closure_dim,
     projective_fan,
     star_subdivide,
     validate_fan,
@@ -167,23 +164,6 @@ def test_point_location_outside_support():
     fan = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     assert cone_containing_point(fan, (1, 1)) is not None
     assert cone_containing_point(fan, (-1, 0)) is None
-
-
-def test_orbit_closure_dimensions():
-    fan = projective_fan(2)
-    assert orbit_closure_dim(fan, ()) == 2
-    assert orbit_closure_dim(fan, (0,)) == 1
-    assert orbit_closure_dim(fan, fan.max_cones[0]) == 0
-    assert orbit_closure_dim(fan, Cone(generators=())) == 2
-    with pytest.raises(ConeNotInFan):
-        orbit_closure_dim(fan, (0, 1, 2))
-
-
-def test_face_lattice_counts():
-    fan = projective_fan(2)
-    faces = face_lattice(fan)
-    # 1 zero cone + 3 rays + 3 two-dimensional cones.
-    assert len(faces) == 7
 
 
 def test_fan_json_round_trip_is_canonical():

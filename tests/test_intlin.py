@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricbundles.fields import QQ, right_kernel
 from toricbundles.intlin import (
     NoIntegralSolution,
     det,
@@ -11,7 +12,6 @@ from toricbundles.intlin import (
     mat_vec,
     primitive,
     rank,
-    rational_kernel,
     smith_decomposition,
     smith_normal_form,
     solve_integer_linear,
@@ -140,7 +140,7 @@ def test_solve_rational_and_kernel():
         Fraction(1, 2),
     ]
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
-    ker = rational_kernel([[1, 1, 0], [0, 0, 1]])
+    ker = right_kernel([[1, 1, 0], [0, 0, 1]], 3, QQ)
     assert len(ker) == 1
     assert ker[0][0] + ker[0][1] == 0 and ker[0][2] == 0
 

@@ -1,0 +1,17 @@
+"""Properties of the library source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "toricbundles"
+
+
+def test_no_assert_statements():
+    # invariants raise InternalAudit, so they still run under python -O
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

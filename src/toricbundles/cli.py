@@ -14,8 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import SCHEMA_VERSION, canonical_json
+from . import SCHEMA_VERSION, canonical_json, json_count, json_rows
 from .chern import (
+    MurphyChern,
     chern_from_json,
     filtration_signature,
     murphy_chern,
@@ -39,9 +40,9 @@ from .fans import (
 from .incidence import (
     check_configuration,
     configuration_from_json,
-    configuration_to_json,
     count_c_i,
     enumerate_c_i,
+    listing_json_chunks,
     verify_equivalence,
 )
 from .klyachko import Incompatible, check_compatibility, filtration_from_json
@@ -58,6 +59,12 @@ from .murphy import (
     murphy_max_cone_count,
     murphy_ray_count,
 )
+
+
+# The largest --workers accepted.  The process pool starts every worker
+# at once, and the cap is fixed so that a command means the same on
+# every host.
+MAX_WORKERS = 32
 
 
 def _emit(obj):
@@ -78,6 +85,23 @@ def _json_arg(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {text!r}") from exc
+
+
+def _int_vector(value, option, item):
+    """A list of integers (booleans refused) read from a CLI option."""
+    if not isinstance(value, list):
+        raise ValueError(f"{option} must be a JSON list, got {value!r}")
+    json_rows([value], option, option, item)
+    return value
+
+
+def _search_options(args):
+    """budget and workers of a search, refusing --workers out of range."""
+    if args.workers is not None and not 1 <= args.workers <= MAX_WORKERS:
+        raise ValueError(
+            f"--workers must be between 1 and {MAX_WORKERS}, got {args.workers}"
+        )
+    return dict(budget=args.budget, workers=args.workers)
 
 
 def _rational_vector(values):
@@ -171,13 +195,10 @@ def cmd_murphy_equations(args):
 
 
 def cmd_murphy_verify(args):
+    options = _search_options(args)
     incidence = incidence_from_json(_load_json(args.incidence))
     report = verify_equivalence(
-        incidence,
-        args.field,
-        budget=args.budget,
-        workers=args.workers,
-        allow_degenerate=args.allow_degenerate,
+        incidence, args.field, allow_degenerate=args.allow_degenerate, **options
     )
     data = report.to_json()
     _emit(data)
@@ -208,7 +229,9 @@ def cmd_murphy_audit(args):
 
 def cmd_divisor_cartier(args):
     fan = fan_from_json(_load_json(args.fan))
-    divisor = make_divisor(fan, _json_arg(args.coeffs))
+    divisor = make_divisor(
+        fan, _int_vector(_json_arg(args.coeffs), "--coeffs", "coefficient")
+    )
     outcome = is_cartier(fan, divisor)
     if isinstance(outcome, NotCartier):
         _emit({
@@ -241,7 +264,9 @@ def cmd_divisor_classgroup(args):
 
 def cmd_divisor_support(args):
     fan = fan_from_json(_load_json(args.fan))
-    divisor = make_divisor(fan, _json_arg(args.coeffs))
+    divisor = make_divisor(
+        fan, _int_vector(_json_arg(args.coeffs), "--coeffs", "coefficient")
+    )
     outcome = is_cartier(fan, divisor)
     if isinstance(outcome, NotCartier):
         _emit({"error": "divisor is not Cartier", "cone": list(outcome.cone)})
@@ -288,8 +313,10 @@ def cmd_bundle_check_compat(args):
 def cmd_bundle_signature(args):
     datum = chern_from_json(_load_json(args.chern))
     ray = _json_arg(args.ray)
-    if isinstance(ray, list):
-        ray = tuple(ray)
+    if isinstance(datum, MurphyChern) and not isinstance(ray, list):
+        ray = json_count(ray, "--ray", "a label")
+    else:
+        ray = tuple(_int_vector(ray, "--ray", "ray coordinate"))
     target = fan_from_json(_load_json(args.fan)) if args.fan else None
     signature = filtration_signature(datum, target, ray)
     _emit({"signature": [[jump, dim] for jump, dim in signature]})
@@ -298,18 +325,18 @@ def cmd_bundle_signature(args):
 
 
 def cmd_incidence_enumerate(args):
+    options = _search_options(args)
     incidence = incidence_from_json(_load_json(args.incidence))
-    options = dict(budget=args.budget, workers=args.workers)
     if args.count_only:
-        data = {"count": count_c_i(incidence, args.field, **options)}
+        count = count_c_i(incidence, args.field, **options)
+        _emit({"count": count})
     else:
         configs = enumerate_c_i(incidence, args.field, **options)
-        data = {
-            "count": len(configs),
-            "configurations": [configuration_to_json(c) for c in configs],
-        }
-    _emit(data)
-    _say(f"{data['count']} configurations over F_{args.field}")
+        count = len(configs)
+        for chunk in listing_json_chunks(configs):
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
+    _say(f"{count} configurations over F_{args.field}")
     return 0
 
 

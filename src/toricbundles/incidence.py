@@ -20,17 +20,23 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from . import json_object
+from . import canonical_json, json_object
 from .errors import BudgetExceeded
 from .fields import PrimeField, field_from_tag
 from .moduli import generate_conditions, make_murphy_instance
 
 ZERO_DOT, NONZERO_DOT, DISTINCT = 0, 1, 2
 
+# The plane's incidence masks take N^2/8 bytes for its N = p^2 + p + 1
+# points: 13 MB at p = 101, 250 MB at p = 211.  A field whose masks
+# would pass this many bytes is refused before they are built.
+PLANE_BYTES_LIMIT = 1 << 26
+# Configurations per piece of listing text (listing_json_chunks).
+LISTING_CHUNK = 4096
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Normalized homogeneous coordinates for d points and d' lines."""
 
@@ -69,13 +75,66 @@ def make_configuration(field_tag, points, lines):
     )
 
 
+def _triple_json(v, fld):
+    """The JSON value of one normalized triple: its formatted entries."""
+    return [fld.format(x) for x in v]
+
+
 def configuration_to_json(config):
     fld = field_from_tag(config.field)
     return {
         "field": config.field,
-        "points": [[fld.format(x) for x in v] for v in config.points],
-        "lines": [[fld.format(x) for x in v] for v in config.lines],
+        "points": [_triple_json(v, fld) for v in config.points],
+        "lines": [_triple_json(v, fld) for v in config.lines],
     }
+
+
+class _TripleTexts(dict):
+    """Canonical JSON text of each triple over one field, made once."""
+
+    def __init__(self, fld):
+        super().__init__()
+        self.fld = fld
+
+    def __missing__(self, v):
+        text = self[v] = canonical_json(_triple_json(v, self.fld))
+        return text
+
+
+class _ConfigurationForms(dict):
+    """Per field tag: a configuration's JSON text as a %-template of its
+    joined line and point texts, and the text lookup of its triples."""
+
+    def __missing__(self, tag):
+        field = canonical_json(tag).replace("%", "%%")
+        form = self[tag] = (
+            '{"field":' + field + ',"lines":[%s],"points":[%s]}',
+            _TripleTexts(field_from_tag(tag)).__getitem__,
+        )
+        return form
+
+
+def listing_json_chunks(configs):
+    """The text of canonical_json({"count": len(configs), "configurations":
+    [configuration_to_json(c) for c in configs]}), in pieces.
+
+    Joined, the pieces are that text byte for byte, for configurations
+    whose entries are their field's elements (as make_configuration and
+    the search build them).  Each distinct triple is formatted once per
+    field, and each piece holds LISTING_CHUNK configurations, so a
+    caller can write the listing as it is produced instead of holding
+    it twice.
+    """
+    forms = _ConfigurationForms()
+    join = ",".join
+    yield '{"configurations":['
+    for start in range(0, len(configs), LISTING_CHUNK):
+        yield ("," if start else "") + join([
+            form % (join(map(text, c.lines)), join(map(text, c.points)))
+            for c in configs[start:start + LISTING_CHUNK]
+            for form, text in (forms[c.field],)
+        ])
+    yield f'],"count":{len(configs)}}}'
 
 
 def configuration_from_json(data):
@@ -96,15 +155,29 @@ def configuration_from_json(data):
         raise ValueError(f"configuration JSON: {exc}") from None
 
 
+def check_plane(p):
+    """Refuse p unless it is a prime whose plane fits PLANE_BYTES_LIMIT."""
+    PrimeField(p)
+    n = p * p + p + 1
+    if n * n // 8 > PLANE_BYTES_LIMIT:
+        raise ValueError(
+            f"the plane over F_{p} needs {n * n // 8} bytes of incidence "
+            f"masks, more than the limit of {PLANE_BYTES_LIMIT}"
+        )
+
+
 def projective_points(p):
-    """All p^2 + p + 1 normalized triples over F_p, sorted."""
-    fld = PrimeField(p)
-    seen = set()
-    for v in product(range(p), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        seen.add(normalize_triple(v, fld))
-    return sorted(seen)
+    """All p^2 + p + 1 normalized triples over F_p, sorted.
+
+    The first nonzero entry is 1, so they are (0, 0, 1), then (0, 1, b),
+    then (1, a, b), each block sorting after the one before.
+    """
+    PrimeField(p)
+    return (
+        [(0, 0, 1)]
+        + [(0, 1, b) for b in range(p)]
+        + [(1, a, b) for a in range(p) for b in range(p)]
+    )
 
 
 def _holds(kind, a, b, fld):
@@ -170,14 +243,19 @@ def _plane(p):
     Points and lines share coordinates, so on[v] is also the set of
     points on the line universe[v]; it is built from two spanning
     vectors of that line in O(p) steps rather than by N dot products.
+    A point's index follows from its coordinates, in the block order
+    of projective_points.
     """
     universe = projective_points(p)
-    index = {v: k for k, v in enumerate(universe)}
     inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
 
     def position(v):
-        scale = inverse[next(x for x in v if x)]
-        return index[tuple(x * scale % p for x in v)]
+        x, y, z = v
+        if x:
+            return 1 + p + y * inverse[x] % p * p + z * inverse[x] % p
+        if y:
+            return 1 + z * inverse[y] % p
+        return 0
 
     on = []
     for line in universe:
@@ -287,8 +365,10 @@ def _run_engine(n_objects, constraints, p, budget, workers, listing):
     """(assignment tuples if `listing`, solution count) over F_p.
 
     Runs forward checking, split over `workers` processes by the value
-    of object 0 when more than one is asked for.
+    of object 0 when more than one is asked for.  A field that fails
+    check_plane is refused before its plane is built.
     """
+    check_plane(p)
     universe, on = _plane(p)
     if not (workers and workers > 1 and n_objects >= 1):
         found, count, _ = _forward_check(
@@ -328,15 +408,17 @@ def _run_engine(n_objects, constraints, p, budget, workers, listing):
 
 
 def _configurations(d, found, p):
-    """Sorted Configurations from assignment tuples (points, then lines)."""
+    """Sorted Configurations from assignment tuples (points, then lines).
+
+    Sorts `found` in place.
+    """
     point = _plane(p)[0].__getitem__
     tag = f"Fp:{p}"
     # universe is sorted, so index order is the (points, lines) order
+    found.sort()
     return [
-        Configuration(
-            tag, tuple(map(point, values[:d])), tuple(map(point, values[d:]))
-        )
-        for values in sorted(found)
+        Configuration(tag, triples[:d], triples[d:])
+        for triples in (tuple(map(point, values)) for values in found)
     ]
 
 
@@ -400,6 +482,7 @@ def verify_equivalence(
     incidence, p, budget=None, workers=None, allow_degenerate=False
 ):
     """Compare compiled-condition solutions with direct enumeration."""
+    check_plane(p)
     instance = make_murphy_instance(
         incidence, materialize=False, allow_degenerate=allow_degenerate
     )

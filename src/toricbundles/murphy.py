@@ -29,6 +29,9 @@ from .errors import (
 from .fans import Fan, fan_to_json, projective_fan, star_subdivide
 
 MATERIALIZE_LIMIT = 6
+# The JSON of a lazy fan lists every labelled ray, 2^(n+1) - 2 - n(n+1)/2
+# of them: 130 934 rays (5 MB of text, about 2 s) at n = 16.
+LIST_RAYS_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -332,6 +335,11 @@ def murphy_fan_to_json(handle):
     if handle.materialized:
         return fan_to_json(handle.fan)
     n = handle.n
+    if n > LIST_RAYS_LIMIT:
+        raise ValueError(
+            f"the fan for n={n} has {murphy_ray_count(n)} rays, too many to "
+            f"list; n must be at most {LIST_RAYS_LIMIT}"
+        )
     rays = sorted(ray_vector(n, lab) for lab in all_labels(n))
     return {
         "dim": n,

@@ -1,17 +1,21 @@
 """Exit codes, canonical JSON output, and determinism of the CLI."""
 
 import json
+import time
 
 import pytest
 
-from toricbundles.cli import main
+from toricbundles import canonical_json
+from toricbundles.cli import MAX_WORKERS, main
 from toricbundles.fields import QQ
+from toricbundles.incidence import configuration_to_json, enumerate_c_i
 from toricbundles.klyachko import (
     filtration_to_json,
     make_filtration,
     trivial_filtration,
 )
 from toricbundles.fans import fan_to_json, make_fan, projective_fan
+from toricbundles.murphy import fano_incidence, incidence_data
 
 P112 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
         "max_cones": [[0, 1], [1, 2], [0, 2]]}
@@ -429,13 +433,16 @@ def test_fan_build_malformed_exits_2(capsys, rays, cones, reason):
     assert err.count("\n") == 1
 
 
+EXPLICIT = {"rank": 2, "cones": [
+    {"rays": [[1, 0], [0, 1]], "chars": [[1, 0], [0, 1]]},
+    {"rays": [[0, 1], [-1, -1]], "chars": [[-1, 0], [-1, 1]]},
+    {"rays": [[1, 0], [-1, -1]], "chars": [[1, -1], [0, -1]]},
+]}
+
+
 def test_bundle_signature_explicit(tmp_path, capsys):
     p2 = write(tmp_path, "p2.json", fan_to_json(projective_fan(2)))
-    chern = write(tmp_path, "chern.json", {"rank": 2, "cones": [
-        {"rays": [[1, 0], [0, 1]], "chars": [[1, 0], [0, 1]]},
-        {"rays": [[0, 1], [-1, -1]], "chars": [[-1, 0], [-1, 1]]},
-        {"rays": [[1, 0], [-1, -1]], "chars": [[1, -1], [0, -1]]},
-    ]})
+    chern = write(tmp_path, "chern.json", EXPLICIT)
     code, out, _ = run(capsys, ["bundle", "signature", "--chern", chern,
                                 "--fan", p2, "--ray", "[1,0]"])
     assert code == 0
@@ -521,4 +528,111 @@ def test_malformed_filtration_json_exits_2(tmp_path, capsys, data, reason):
     assert out == ""
     assert err.startswith("error: filtration JSON")
     assert reason in err
+    assert err.count("\n") == 1
+
+
+def _dict_listing(incidence, p):
+    """The listing as the CLI wrote it before streaming: one dict, dumped."""
+    configs = enumerate_c_i(incidence, p)
+    return canonical_json({
+        "count": len(configs),
+        "configurations": [configuration_to_json(c) for c in configs],
+    }) + "\n"
+
+
+@pytest.mark.parametrize("incidence, p", [
+    (incidence_data(2, 1, [(1, 1)]), 2),
+    (fano_incidence(), 2),
+    (incidence_data(2, 1, [(1, 1), (2, 1)]), 5),
+])
+def test_listing_stdout_matches_dict_listing(tmp_path, capsys, incidence, p):
+    path = write(tmp_path, "incidence.json", incidence.to_json())
+    want = _dict_listing(incidence, p)
+    count = json.loads(want)["count"]
+    for extra in ([], ["--workers", "2"]):
+        code, out, err = run(capsys, ["incidence", "enumerate", "--incidence",
+                                      path, "--field", str(p), *extra])
+        assert code == 0
+        assert out == want
+        assert err == f"{count} configurations over F_{p}\n"
+
+
+def test_oversized_field_exits_2_before_the_plane_is_built(tmp_path, capsys):
+    pair = write(tmp_path, "pair.json", PAIR)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["incidence", "enumerate", "--incidence", pair,
+                                  "--field", "65521", "--count-only",
+                                  "--budget", "10"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the plane over F_65521 needs")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, ["murphy", "verify", "--incidence", pair,
+                                  "--field", "211"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the plane over F_211 needs")
+    assert err.count("\n") == 1
+    one = write(tmp_path, "one.json", {"points": 1, "lines": 0, "incidences": []})
+    code, out, _ = run(capsys, ["incidence", "enumerate", "--incidence", one,
+                                "--field", "101", "--count-only"])
+    assert (code, out) == (0, '{"count":10303}\n')
+
+
+@pytest.mark.parametrize("command", [["incidence", "enumerate"],
+                                     ["murphy", "verify"]])
+@pytest.mark.parametrize("workers", ["0", "-1", str(MAX_WORKERS + 1), "100000"])
+def test_workers_out_of_range_exits_2(tmp_path, capsys, monkeypatch, command,
+                                      workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("toricbundles.incidence.ProcessPoolExecutor", no_pool)
+    pair = write(tmp_path, "pair.json", PAIR)
+    code, out, err = run(capsys, [*command, "--incidence", pair, "--field", "2",
+                                  "--workers", workers])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --workers must be between 1 and {MAX_WORKERS}, "
+                   f"got {workers}\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["divisor", "cartier", "--fan", "{p112}", "--coeffs", "[true,0,0]"],
+     "--coeffs JSON: a coefficient must be an integer, got True"),
+    (["divisor", "cartier", "--fan", "{p112}", "--coeffs", "[[1],0,0]"],
+     "--coeffs JSON: a coefficient must be an integer, got [1]"),
+    (["divisor", "cartier", "--fan", "{p112}", "--coeffs", "1"],
+     "--coeffs must be a JSON list, got 1"),
+    (["divisor", "support", "--fan", "{p112}", "--coeffs", "[0,0,1.5]",
+      "--point", "[1,0]"],
+     "--coeffs JSON: a coefficient must be an integer, got 1.5"),
+    (["bundle", "signature", "--chern", "{explicit}", "--fan", "{p2}",
+      "--ray", "3"], "--ray must be a JSON list, got 3"),
+    (["bundle", "signature", "--chern", "{explicit}", "--fan", "{p2}",
+      "--ray", "[true,0]"],
+     "--ray JSON: a ray coordinate must be an integer, got True"),
+    (["bundle", "signature", "--chern", "{rule}", "--ray", "[[1]]"],
+     "--ray JSON: a ray coordinate must be an integer, got [1]"),
+    (["bundle", "signature", "--chern", "{rule}", "--ray", "true"],
+     "--ray JSON: a label must be an integer, got True"),
+    (["bundle", "signature", "--chern", "{rule}", "--ray", '"1"'],
+     "--ray JSON: a label must be an integer, got '1'"),
+])
+def test_vector_and_label_arguments_exit_2(tmp_path, capsys, argv, reason):
+    files = {
+        "p112": write(tmp_path, "p112.json", P112),
+        "p2": write(tmp_path, "p2.json", fan_to_json(projective_fan(2))),
+        "explicit": write(tmp_path, "explicit.json", EXPLICIT),
+        "rule": write(tmp_path, "rule.json", {"rule": "murphy", "incidence": PAIR}),
+    }
+    code, out, err = run(capsys, [arg.format(**files) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [["--n", "100", "--lazy"], ["--n", "17"]])
+def test_murphy_fan_too_many_rays_exits_2(capsys, argv):
+    code, out, err = run(capsys, ["murphy", "fan", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the fan for n=")
+    assert "n must be at most 16" in err
     assert err.count("\n") == 1

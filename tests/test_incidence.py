@@ -11,15 +11,21 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricbundles import canonical_json
 from toricbundles.errors import BudgetExceeded
 from toricbundles.incidence import (
+    LISTING_CHUNK,
+    PLANE_BYTES_LIMIT,
+    _plane,
     check_configuration,
+    check_plane,
     configuration_from_json,
     configuration_to_json,
     count_c_i,
     enumerate_c_i,
+    listing_json_chunks,
     make_configuration,
     normalize_triple,
     projective_points,
@@ -46,6 +52,49 @@ def test_projective_point_counts():
         assert len(pts) == p * p + p + 1
         assert pts == sorted(set(pts))
         assert all(v[next(i for i, x in enumerate(v) if x)] == 1 for v in pts)
+
+
+def _scanned_points(p):
+    """The oracle: normalize all p^3 triples and sort the distinct ones."""
+    fld = PrimeField(p)
+    return sorted({
+        normalize_triple(v, fld) for v in product(range(p), repeat=3) if any(v)
+    })
+
+
+PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_13)
+def test_projective_points_match_full_scan(p):
+    assert projective_points(p) == _scanned_points(p)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_13)
+def test_plane_masks_match_dot_products(p):
+    universe, on = _plane(p)
+    assert list(universe) == _scanned_points(p)
+    for v, mask in zip(universe, on):
+        want = sum(
+            1 << w for w, x in enumerate(universe)
+            if sum(a * b for a, b in zip(v, x)) % p == 0
+        )
+        assert mask == want
+
+
+def test_check_plane_refuses_before_building():
+    check_plane(101)
+    with pytest.raises(ValueError, match="not prime"):
+        check_plane(4)
+    for p in (211, 65521):
+        with pytest.raises(ValueError, match=f"limit of {PLANE_BYTES_LIMIT}"):
+            check_plane(p)
+    _plane.cache_clear()
+    with pytest.raises(ValueError, match="limit"):
+        count_c_i(incidence_data(1, 0, []), 65521, budget=10)
+    with pytest.raises(ValueError, match="limit"):
+        verify_equivalence(incidence_data(2, 1, [(1, 1)]), 211)
+    assert _plane.cache_info().currsize == 0
 
 
 def test_check_configuration():
@@ -291,3 +340,55 @@ def test_every_f2_point_appears_in_some_line_pencil():
     for x in pts:
         through = [l for l in pts if sum(a * b for a, b in zip(x, l)) % 2 == 0]
         assert len(through) == 3
+
+
+# --- the streamed listing writer ----------------------------------------
+
+
+def _listing_oracle(configs):
+    """The listing as one dict through configuration_to_json."""
+    return canonical_json({
+        "count": len(configs),
+        "configurations": [configuration_to_json(c) for c in configs],
+    })
+
+
+@st.composite
+def configuration_lists(draw):
+    """Configurations over one of F_2..F_7 or Q, shapes as the CLI lists."""
+    tag = draw(st.sampled_from(["Fp:2", "Fp:3", "Fp:5", "Fp:7", "Q"]))
+    if tag == "Q":
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entry = st.integers(0, int(tag[3:]) - 1)
+    vector = st.tuples(entry, entry, entry).filter(any)
+    d, dprime = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    config = st.builds(
+        lambda points, lines: make_configuration(tag, points, lines),
+        st.lists(vector, min_size=d, max_size=d),
+        st.lists(vector, min_size=dprime, max_size=dprime),
+    )
+    return draw(st.lists(config, max_size=12))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(configuration_lists())
+def test_listing_chunks_match_the_dict_listing(configs):
+    assert "".join(listing_json_chunks(configs)) == _listing_oracle(configs)
+
+
+def test_listing_chunks_edge_cases():
+    assert "".join(listing_json_chunks([])) == '{"configurations":[],"count":0}'
+    halves = make_configuration("Q", [(2, 1, 0), (0, 3, 1)], [(1, 1, 1)])
+    assert halves.points == ((1, Fraction(1, 2), 0), (0, 1, Fraction(1, 3)))
+    text = "".join(listing_json_chunks([halves]))
+    assert text == _listing_oracle([halves])
+    assert '["1","1/2","0"]' in text
+    mixed = [halves, make_configuration("Fp:5", [(2, 4, 0)], [])]
+    assert "".join(listing_json_chunks(mixed)) == _listing_oracle(mixed)
+    # 4650 configurations: two chunks of text between the head and tail
+    listing = enumerate_c_i(incidence_data(2, 1, [(1, 1)]), 5)
+    assert len(listing) > LISTING_CHUNK
+    pieces = list(listing_json_chunks(listing))
+    assert len(pieces) == 4
+    assert "".join(pieces) == _listing_oracle(listing)
